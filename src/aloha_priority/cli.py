@@ -2,8 +2,8 @@
 
 Subcommands: boundary, region, sweep, simulate, analyze qbd, verify.
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 degenerate
-or unstable parameter rejection.  All output is deterministic given the same
-flags and seed.
+or unstable parameter rejection (or a solver that cannot converge).  All
+output is deterministic given the same flags and seed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import qbd, reports, simulate, verify
-from .errors import DegenerateParameterError, UnstableParameterError
+from .errors import AlohaError
 from .model import AccessProbabilities, ArrivalRates, DominanceMode, ProtocolKind
 from .stability import priority_boundary, ra_boundary, td_boundary, union_region_contains
 from .sweep import sweep as run_sweep
@@ -23,12 +23,6 @@ _SCHEMES = {"priority": priority_boundary, "ra": ra_boundary, "td": td_boundary}
 _KINDS = {
     "priority": ProtocolKind.FEEDBACK_PRIORITY,
     "conventional": ProtocolKind.CONVENTIONAL_RA,
-}
-_MODES = {
-    "none": DominanceMode.NONE,
-    "ds1": DominanceMode.DS1,
-    "ds2": DominanceMode.DS2,
-    "ds3": DominanceMode.DS3,
 }
 
 
@@ -104,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = commands.add_parser("simulate", help="Monte Carlo slot simulation")
     sim.add_argument("--kind", choices=sorted(_KINDS), default="priority")
-    sim.add_argument("--mode", choices=("none", "ds1", "ds2", "ds3"), default="none")
+    sim.add_argument("--mode", choices=[m.value for m in DominanceMode], default="none")
     sim.add_argument("--p1", type=_probability, required=True)
     sim.add_argument("--p2", type=_probability, required=True)
     sim.add_argument("--l1", type=_rate, required=True)
@@ -191,7 +185,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = simulate.SimulationConfig(
         kind=_KINDS[args.kind],
-        mode=_MODES[args.mode],
+        mode=DominanceMode(args.mode),
         p=AccessProbabilities(args.p1, args.p2),
         l=ArrivalRates(args.l1, args.l2),
         horizon=args.slots,
@@ -236,9 +230,10 @@ def cmd_analyze_qbd(args: argparse.Namespace) -> int:
     p = AccessProbabilities(args.p1, args.p2)
     blocks = qbd.qbd_blocks(p, args.l2)
     r = qbd.rate_matrix_closed_form(p, args.l2)
+    # rejects unstable and critical points before the solver can stall on them
+    pi0 = qbd.ds2_pi0(p, args.l2)
     solved = qbd.solve_rate_matrix(blocks)
     residual = blocks.a2 + (blocks.a1 - np.eye(2)) @ r + blocks.a0 @ (r @ r)
-    pi0 = qbd.ds2_pi0(p, args.l2)
     report = {"p1": args.p1, "p2": args.p2, "l2": args.l2}
     for name, matrix in (
         ("b", blocks.b),
@@ -284,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (DegenerateParameterError, UnstableParameterError) as exc:
+    except AlohaError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -101,7 +101,6 @@ def advance_slot(
     state: SystemState,
     kind: ProtocolKind,
     mode: DominanceMode,
-    p: AccessProbabilities,
     arrivals: tuple[bool, bool],
     access_draws: tuple[bool, bool],
 ) -> tuple[SystemState, SlotOutcome]:
@@ -109,11 +108,9 @@ def advance_slot(
 
     ``arrivals`` and ``access_draws`` are pre-drawn Bernoulli coins: the
     caller draws arrivals[i] with rate l_i and access_draws[i] with
-    probability p.p_i.  Passing the coins instead of the probabilities keeps
+    probability p_i.  Passing the coins instead of the probabilities keeps
     this function pure, which lets the chain oracle enumerate all coin
-    combinations with their exact weights.  ``p`` itself is carried along for
-    interface symmetry with the callers; the numeric values enter only
-    through the draws.
+    combinations with their exact weights.
 
     Order of events inside a slot: arrivals first (an arrival may contend in
     the same slot), then the access decision, then at most one departure.
@@ -122,8 +119,6 @@ def advance_slot(
     (phase BACKOFF under FEEDBACK_PRIORITY) queue 1 transmits with
     probability 1, its draw ignored, and queue 2 never contends.
     """
-    del p  # coins already encode the access probabilities
-
     q1 = state.q1_len + (1 if arrivals[0] else 0)
     q2 = state.q2_len + (1 if arrivals[1] else 0)
 

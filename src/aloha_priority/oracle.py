@@ -105,7 +105,6 @@ def build_chain(
                     state,
                     ProtocolKind.FEEDBACK_PRIORITY,
                     mode,
-                    p,
                     arrivals,
                     (d1, d2),
                 )

@@ -44,6 +44,7 @@ from .errors import (
     UnstableParameterError,
 )
 from .model import AccessProbabilities
+from .stability import ds2_mu1, ds3_mu2
 
 
 @dataclass(frozen=True)
@@ -57,28 +58,6 @@ class QbdBlocks:
     a0: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
-
-    def assemble(self, n_levels: int) -> np.ndarray:
-        """Truncated block-tridiagonal matrix for structural inspection.
-
-        Columns of interior levels (1 .. n_levels - 2) sum to 1.  The 0-OFF
-        column and the last level's columns are deficient (no up-block past
-        the truncation); this helper is for looking at structure, not for
-        computing stationary laws.
-        """
-        if n_levels < 3:
-            raise ValueError("need at least 3 levels to show interior structure")
-        n = 2 * n_levels
-        t = np.zeros((n, n))
-        t[0:2, 0:2] = self.b
-        t[2:4, 0:2] = self.a2
-        for k in range(1, n_levels):
-            r = 2 * k
-            t[r - 2 : r, r : r + 2] = self.a0
-            t[r : r + 2, r : r + 2] = self.a1
-            if k + 1 < n_levels:
-                t[r + 2 : r + 4, r : r + 2] = self.a2
-        return t
 
 
 @dataclass(frozen=True)
@@ -223,14 +202,14 @@ def spectral_radius_closed_form(p: AccessProbabilities, l2: float) -> float:
 def ds2_pi0(p: AccessProbabilities, l2: float) -> float:
     """Stationary probability of an empty queue 2 in phase ON.
 
-    Exists iff l2 < p2 (1 - p1) / (1 + p1 p2); raises UnstableParameterError
+    Exists iff l2 < mu2'' (``stability.ds3_mu2``); raises UnstableParameterError
     otherwise (and DegenerateParameterError where that bound is identically
     zero, at p1 = 1 or p2 = 0).
     """
     p1, p2 = p.p1, p.p2
     if p1 == 1.0 or p2 == 0.0:
         raise DegenerateParameterError("queue 2 has no service at p1 = 1 or p2 = 0")
-    if l2 >= p2 * (1.0 - p1) / (1.0 + p1 * p2):
+    if l2 >= ds3_mu2(p1, p2):
         raise UnstableParameterError(
             f"queue 2 unstable under saturated queue 1 at l2 = {l2}"
         )
@@ -258,17 +237,12 @@ def ds2_stationary(p: AccessProbabilities, l2: float, k_max: int) -> Ds2Stationa
 
 
 def ds2_service_rate_q1(p: AccessProbabilities, l2: float) -> float:
-    """Saturated queue-1 success rate, closed form p1 (1 - p1 - l2 p1) / (1 - p1).
+    """Saturated queue-1 success rate, closed form ``stability.ds2_mu1``.
 
     Valid while queue 2 is stable in this dominant system.
     """
-    p1 = p.p1
-    if p1 == 1.0:
-        raise DegenerateParameterError(
-            "closed form undefined at p1 = 1 (queue 2 starves, chain unstable)"
-        )
-    ds2_pi0(p, l2)  # raises if outside the stability region
-    return p1 * (1.0 - p1 - l2 * p1) / (1.0 - p1)
+    ds2_pi0(p, l2)  # raises outside the stability region, p1 = 1 included
+    return ds2_mu1(p.p1, l2)
 
 
 def ds2_service_rate_q1_series(p: AccessProbabilities, l2: float) -> float:

@@ -73,38 +73,3 @@ def emit_report(report: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
         return report_to_json(report)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _coerce(text: str) -> Any:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def parse_csv_table(text: str) -> tuple[list[str], list[list[Any]]]:
-    """Inverse of table_to_csv, numbers coerced back to int/float."""
-    reader = csv.reader(io.StringIO(text))
-    columns = next(reader)
-    rows = [[_coerce(cell) for cell in row] for row in reader if row]
-    return columns, rows
-
-
-def parse_json_table(text: str) -> tuple[list[str], list[list[Any]]]:
-    payload = json.loads(text)
-    return payload["columns"], payload["rows"]
-
-
-def parse_csv_report(text: str) -> dict[str, Any]:
-    columns, rows = parse_csv_table(text)
-    if columns != ["field", "value"]:
-        raise ValueError("not a field/value report")
-    return {row[0]: row[1] for row in rows}
-
-
-def parse_json_report(text: str) -> dict[str, Any]:
-    return json.loads(text)

@@ -140,6 +140,32 @@ def _batch_rate(values: np.ndarray, base: np.ndarray | None = None) -> tuple[flo
     return rate, float(ratios.std(ddof=1) / ratios.shape[0] ** 0.5)
 
 
+def _slope(lengths: np.ndarray) -> float:
+    """Least-squares slope of a length trajectory, in packets per slot."""
+    if lengths.shape[0] < 2:
+        return float("nan")
+    x = np.arange(lengths.shape[0], dtype=np.float64)
+    return float(np.polyfit(x, lengths, 1)[0])
+
+
+def _verdict(
+    lengths: np.ndarray,
+    slope: float,
+    thresholds: StabilityThresholds,
+    total_slots: int | None,
+) -> str:
+    """``classify_stability`` given the trajectory's least-squares slope."""
+    n = lengths.shape[0]
+    if n < _MIN_SAMPLES:
+        return INCONCLUSIVE
+    total = total_slots if total_slots is not None else n
+    if abs(slope) < thresholds.stable_slope and lengths[-1] < thresholds.final_fraction * total:
+        return STABLE
+    if slope > thresholds.unstable_slope:
+        return UNSTABLE
+    return INCONCLUSIVE
+
+
 def classify_stability(
     lengths: np.ndarray,
     thresholds: StabilityThresholds,
@@ -150,16 +176,7 @@ def classify_stability(
     Fewer than 10^4 samples is treated as inconclusive outright; no verdict
     from a short window is worth reporting.
     """
-    n = lengths.shape[0]
-    if n < _MIN_SAMPLES:
-        return INCONCLUSIVE
-    slope = float(np.polyfit(np.arange(n, dtype=np.float64), lengths, 1)[0])
-    total = total_slots if total_slots is not None else n
-    if abs(slope) < thresholds.stable_slope and lengths[-1] < thresholds.final_fraction * total:
-        return STABLE
-    if slope > thresholds.unstable_slope:
-        return UNSTABLE
-    return INCONCLUSIVE
+    return _verdict(lengths, _slope(lengths), thresholds, total_slots)
 
 
 def run_trajectory(config: SimulationConfig) -> Trajectory:
@@ -180,11 +197,11 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
     outcome = np.empty(n, dtype=np.int8)
 
     state = SystemState(0, 0, Phase.NORMAL)
-    kind, mode, p = config.kind, config.mode, config.p
+    kind, mode = config.kind, config.mode
     for t in range(n):
         phase_start[t] = int(state.phase)
         state, out = advance_slot(
-            state, kind, mode, p, (arr1[t], arr2[t]), (acc1[t], acc2[t])
+            state, kind, mode, (arr1[t], arr2[t]), (acc1[t], acc2[t])
         )
         q1[t] = state.q1_len
         q2[t] = state.q2_len
@@ -218,12 +235,7 @@ def summarize(trajectory: Trajectory, config: SimulationConfig) -> SimulationMet
     mu2, se2 = _batch_rate(success2, None if forced2 else busy2)
     occ, occ_se = _batch_rate(trajectory.phase_start[w:].astype(np.float64))
 
-    def _slope(lengths: np.ndarray) -> float:
-        if lengths.shape[0] < 2:
-            return float("nan")
-        x = np.arange(lengths.shape[0], dtype=np.float64)
-        return float(np.polyfit(x, lengths, 1)[0])
-
+    drift1, drift2 = _slope(q1), _slope(q2)
     return SimulationMetrics(
         delivered=(int(success1.sum()), int(success2.sum())),
         busy_slots=(int(busy1.sum()), int(busy2.sum())),
@@ -233,10 +245,10 @@ def summarize(trajectory: Trajectory, config: SimulationConfig) -> SimulationMet
         occupancy_stderr=occ_se,
         mean_len=(float(q1.mean()), float(q2.mean())),
         final_len=(int(q1[-1]), int(q2[-1])),
-        drift=(_slope(q1), _slope(q2)),
+        drift=(drift1, drift2),
         verdict=(
-            classify_stability(q1, config.thresholds, config.horizon),
-            classify_stability(q2, config.thresholds, config.horizon),
+            _verdict(q1, drift1, config.thresholds, config.horizon),
+            _verdict(q2, drift2, config.thresholds, config.horizon),
         ),
     )
 

@@ -91,6 +91,43 @@ class Ds3SteadyState:
     mu2: float
 
 
+# The four saturated service rates that bound the dominant-system regions,
+# and the DS2 queue-1 clause solved for l2.  Plain arithmetic, so each takes
+# floats or numpy arrays alike; the callers own the degenerate-point guards.
+
+
+def ds3_mu1(p1, p2):
+    """mu1'' = p1 / (1 + p1 p2): queue 1's rate with both queues saturated."""
+    return p1 / (1.0 + p1 * p2)
+
+
+def ds3_mu2(p1, p2):
+    """mu2'' = p2 (1 - p1) / (1 + p1 p2): queue 2's rate with both saturated."""
+    return p2 * (1.0 - p1) / (1.0 + p1 * p2)
+
+
+def ds1_mu2(p2, l1):
+    """Saturated queue 2's rate in DS1 while queue 1 is stable: p2 (1 - l1 - l1 p2)."""
+    return p2 * (1.0 - l1 - l1 * p2)
+
+
+def ds2_mu1(p1, l2):
+    """Saturated queue 1's rate in DS2 while queue 2 is stable.
+
+    p1 (1 - p1 - l2 p1) / (1 - p1); undefined at p1 = 1.
+    """
+    return p1 * (1.0 - p1 - l2 * p1) / (1.0 - p1)
+
+
+def ds2_l2_limit(p1, l1):
+    """The DS2 clause l1 < ds2_mu1(p1, l2) solved for l2: (1 - p1)(p1 - l1) / p1^2.
+
+    Valid for 0 < p1 < 1, where it is the strict upper bound on l2; undefined
+    at p1 = 0.
+    """
+    return (1.0 - p1) * (p1 - l1) / (p1 * p1)
+
+
 def ds1_rho(p: AccessProbabilities, l1: float) -> float:
     """Traffic intensity of queue 1 when queue 2 is saturated."""
     if p.p1 == 0.0:
@@ -124,7 +161,7 @@ def ds1_service_rate_q2(p: AccessProbabilities, l1: float) -> float:
         raise UnstableParameterError(
             f"service rate formula needs queue 1 stable: rho = {rho}"
         )
-    return p.p2 * (1.0 - l1 - l1 * p.p2)
+    return ds1_mu2(p.p2, l1)
 
 
 def ds3_steady_state(p: AccessProbabilities) -> Ds3SteadyState:
@@ -139,8 +176,8 @@ def ds3_steady_state(p: AccessProbabilities) -> Ds3SteadyState:
     return Ds3SteadyState(
         pi_normal=1.0 / denom,
         pi_reserved=pi_reserved,
-        mu1=p.p1 / denom,
-        mu2=p.p2 * (1.0 - p.p1) / denom,
+        mu1=ds3_mu1(p.p1, p.p2),
+        mu2=ds3_mu2(p.p1, p.p2),
     )
 
 
@@ -149,9 +186,9 @@ def ds1_region_contains(p: AccessProbabilities, l: ArrivalRates) -> RegionVerdic
 
     (l1, l2) is inside iff l1 < p1 / (1 + p1 p2) and l2 < p2 (1 - l1 - l1 p2).
     """
-    if not l.l1 < p.p1 / (1.0 + p.p1 * p.p2):
+    if not l.l1 < ds3_mu1(p.p1, p.p2):
         return RegionVerdict(stable=False, binding="l1")
-    if not l.l2 < p.p2 * (1.0 - l.l1 - l.l1 * p.p2):
+    if not l.l2 < ds1_mu2(p.p2, l.l1):
         return RegionVerdict(stable=False, binding="l2")
     return RegionVerdict(stable=True)
 
@@ -163,9 +200,9 @@ def ds2_region_contains(p: AccessProbabilities, l: ArrivalRates) -> RegionVerdic
     never hold at p1 = 1, which keeps the second clause's division by
     (1 - p1) safe.
     """
-    if not l.l2 < p.p2 * (1.0 - p.p1) / (1.0 + p.p1 * p.p2):
+    if not l.l2 < ds3_mu2(p.p1, p.p2):
         return RegionVerdict(stable=False, binding="l2")
-    if not l.l1 < p.p1 * (1.0 - p.p1 - l.l2 * p.p1) / (1.0 - p.p1):
+    if not l.l1 < ds2_mu1(p.p1, l.l2):
         return RegionVerdict(stable=False, binding="l1")
     return RegionVerdict(stable=True)
 

@@ -23,6 +23,10 @@ import numpy as np
 
 from .model import AccessProbabilities, ArrivalRates
 from .stability import (
+    ds1_mu2,
+    ds2_l2_limit,
+    ds3_mu1,
+    ds3_mu2,
     priority_boundary,
     ra_boundary,
     td_boundary,
@@ -75,23 +79,19 @@ def _grid(step: float) -> np.ndarray:
 def envelope_at(l1: float, p1_grid: np.ndarray, p2_grid: np.ndarray):
     """Max admitted l2 over the p-grid at one l1, with the argmax pair.
 
-    Evaluates the two region clauses directly.  Queue-1-saturated clause:
-    valid where l1 < p1/(1 + p1 p2), admits l2 < p2 (1 - l1 - l1 p2).
-    Queue-2-saturated clause: admits l2 below both p2 (1 - p1)/(1 + p1 p2)
-    and (1 - p1)(p1 - l1)/p1^2 (the l1 condition rearranged).  Ties resolve
-    to the smallest (p1, p2) in lexicographic order.
+    Queue-2-saturated clause (DS1): valid where l1 < mu1'', admits
+    l2 < ds1_mu2.  Queue-1-saturated clause (DS2): admits l2 below both mu2''
+    and the DS2 l1 condition solved for l2.  Ties resolve to the smallest
+    (p1, p2) in lexicographic order.
     """
     pp1, pp2 = np.meshgrid(p1_grid, p2_grid, indexing="ij")
-    denom = 1.0 + pp1 * pp2
 
-    value_a = pp2 * (1.0 - l1 - l1 * pp2)
-    value_a = np.where((l1 < pp1 / denom) & (value_a > 0.0), value_a, -np.inf)
+    value_a = ds1_mu2(pp2, l1)
+    value_a = np.where((l1 < ds3_mu1(pp1, pp2)) & (value_a > 0.0), value_a, -np.inf)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound_l1 = np.where(
-            pp1 > 0.0, (1.0 - pp1) * (pp1 - l1) / pp1**2, -np.inf
-        )
-    value_b = np.minimum(pp2 * (1.0 - pp1) / denom, bound_l1)
+        bound_l1 = np.where(pp1 > 0.0, ds2_l2_limit(pp1, l1), -np.inf)
+    value_b = np.minimum(ds3_mu2(pp1, pp2), bound_l1)
     value_b = np.where(value_b > 0.0, value_b, -np.inf)
 
     combined = np.maximum(value_a, value_b)

@@ -16,7 +16,7 @@ import numpy as np
 from . import oracle, qbd, simulate
 from .model import AccessProbabilities, ArrivalRates, DominanceMode, ProtocolKind
 from .simulate import DEFAULT_SEED
-from .stability import ds1_steady_state, ds3_steady_state
+from .stability import ds1_steady_state, ds3_mu2, ds3_steady_state
 from .sweep import compare_envelopes, sweep as run_sweep
 
 
@@ -93,7 +93,7 @@ def qbd_grid_points(step: float = 0.05, band: float = 1e-9) -> list[tuple[float,
         p1 = i / n
         for j in range(1, n + 1):
             p2 = j / n
-            bound = p2 * (1.0 - p1) / (1.0 + p1 * p2)
+            bound = ds3_mu2(p1, p2)
             for k in range(1, n):
                 l2 = k / n
                 if l2 < bound - band:
@@ -151,7 +151,7 @@ def suite_qbd() -> list[CheckResult]:
     for i in range(1, n):
         for j in range(1, n + 1):
             p = AccessProbabilities(i / n, j / n)
-            bound = (j / n) * (1.0 - i / n) / (1.0 + (i / n) * (j / n))
+            bound = ds3_mu2(p.p1, p.p2)
             for k in range(1, n):
                 l2 = k / n
                 if abs(l2 - bound) <= 1e-9:

@@ -1,8 +1,10 @@
 """Command-line surface and serialization round-trips."""
 
+import hashlib
 import json
 
 import pytest
+from helpers import parse_csv_report, parse_csv_table, parse_json_report, parse_json_table
 
 from aloha_priority import qbd, reports
 from aloha_priority.cli import main
@@ -24,23 +26,23 @@ class TestSerialization:
 
     def test_csv_table_round_trip(self):
         text = reports.table_to_csv(["a", "b", "c", "d", "e", "f"], [self.AWKWARD])
-        columns, rows = reports.parse_csv_table(text)
+        columns, rows = parse_csv_table(text)
         assert columns == ["a", "b", "c", "d", "e", "f"]
         assert rows == [self.AWKWARD]
 
     def test_json_table_round_trip(self):
         text = reports.table_to_json(["a", "b", "c", "d", "e", "f"], [self.AWKWARD])
-        columns, rows = reports.parse_json_table(text)
+        columns, rows = parse_json_table(text)
         assert rows == [self.AWKWARD]
 
     def test_report_round_trips(self):
         report = {"x": 0.1 + 0.2, "n": 7, "s": "stable"}
-        assert reports.parse_csv_report(reports.report_to_csv(report)) == report
-        assert reports.parse_json_report(reports.report_to_json(report)) == report
+        assert parse_csv_report(reports.report_to_csv(report)) == report
+        assert parse_json_report(reports.report_to_json(report)) == report
 
     def test_bools_become_ints(self):
         text = reports.table_to_csv(["flag"], [[True], [False]])
-        _, rows = reports.parse_csv_table(text)
+        _, rows = parse_csv_table(text)
         assert rows == [[1], [0]]
         assert json.loads(reports.table_to_json(["flag"], [[True]]))["rows"] == [[1]]
 
@@ -50,7 +52,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             reports.emit_report({}, "xml")
         with pytest.raises(ValueError):
-            reports.parse_csv_report("a,b\n1,2\n")
+            parse_csv_report("a,b\n1,2\n")
 
 
 class TestBoundary:
@@ -59,7 +61,7 @@ class TestBoundary:
             capsys, ["boundary", "--scheme", "priority", "--step", "0.1"]
         )
         assert code == 0
-        columns, rows = reports.parse_csv_table(out)
+        columns, rows = parse_csv_table(out)
         assert columns == ["lambda1", "lambda2"]
         assert len(rows) == 11
         table = dict((row[0], row[1]) for row in rows)
@@ -70,7 +72,7 @@ class TestBoundary:
     def test_ra_curve_endpoints(self, capsys):
         code, out, _ = _run(capsys, ["boundary", "--scheme", "ra", "--step", "0.1"])
         assert code == 0
-        _, rows = reports.parse_csv_table(out)
+        _, rows = parse_csv_table(out)
         table = dict((row[0], row[1]) for row in rows)
         assert table[0] == 1
         assert table[1] == 0
@@ -82,7 +84,7 @@ class TestBoundary:
             ["boundary", "--scheme", "td", "--step", "0.1", "--format", "json"],
         )
         assert code == 0
-        columns, rows = reports.parse_json_table(out)
+        columns, rows = parse_json_table(out)
         assert columns == ["lambda1", "lambda2"]
         assert rows[3] == [0.3, 0.7]
 
@@ -93,7 +95,7 @@ class TestRegion:
             capsys, ["region", "--p1", "0.5", "--p2", "0.5", "--lambda-step", "0.1"]
         )
         assert code == 0
-        columns, rows = reports.parse_csv_table(out)
+        columns, rows = parse_csv_table(out)
         assert columns == ["lambda1", "lambda2", "stable", "binding"]
         assert len(rows) == 81
         for l1, l2, stable, binding in rows:
@@ -108,7 +110,7 @@ class TestSweepCommand:
             capsys, ["sweep", "--p-step", "0.05", "--lambda-step", "0.1"]
         )
         assert code == 0
-        columns, rows = reports.parse_csv_table(out)
+        columns, rows = parse_csv_table(out)
         assert columns == [
             "lambda1",
             "priority_numeric",
@@ -152,13 +154,13 @@ class TestSimulateCommand:
     def test_csv_and_json_carry_identical_values(self, capsys):
         _, out_csv, _ = _run(capsys, self.ARGS)
         _, out_json, _ = _run(capsys, self.ARGS + ["--format", "json"])
-        as_csv = reports.parse_csv_report(out_csv)
-        as_json = reports.parse_json_report(out_json)
+        as_csv = parse_csv_report(out_csv)
+        as_json = parse_json_report(out_json)
         assert as_csv == as_json
 
     def test_report_fields(self, capsys):
         _, out, _ = _run(capsys, self.ARGS + ["--format", "json"])
-        report = reports.parse_json_report(out)
+        report = parse_json_report(out)
         assert report["mode"] == "ds1"
         assert report["slots"] == 20000
         assert report["warmup"] == 10000
@@ -176,7 +178,7 @@ class TestAnalyzeQbd:
              "--format", "json"],
         )
         assert code == 0
-        report = reports.parse_json_report(out)
+        report = parse_json_report(out)
         blocks = qbd.qbd_blocks(HALF, 0.1)
         assert report["b_00"] == blocks.b[0, 0] == 0.925
         assert report["a1_00"] == blocks.a1[0, 0] == pytest.approx(0.475, rel=1e-15)
@@ -197,7 +199,7 @@ class TestAnalyzeQbd:
         _, out_csv, _ = _run(
             capsys, ["analyze", "qbd", "--p1", "0.5", "--p2", "0.5", "--l2", "0.1"]
         )
-        report = reports.parse_csv_report(out_csv)
+        report = parse_csv_report(out_csv)
         assert report["sp_closed_form"] == qbd.spectral_radius_closed_form(HALF, 0.1)
 
 
@@ -205,7 +207,7 @@ class TestVerifyCommand:
     def test_passing_suite(self, capsys):
         code, out, _ = _run(capsys, ["verify", "--suite", "ds1"])
         assert code == 0
-        columns, rows = reports.parse_csv_table(out)
+        columns, rows = parse_csv_table(out)
         assert columns == ["check", "value", "threshold", "passed"]
         assert rows and all(row[3] == 1 for row in rows)
 
@@ -214,7 +216,7 @@ class TestVerifyCommand:
         monkeypatch.setattr("aloha_priority.verify.run_suite", lambda name: failing)
         code, out, _ = _run(capsys, ["verify", "--suite", "all"])
         assert code == 2
-        _, rows = reports.parse_csv_table(out)
+        _, rows = parse_csv_table(out)
         assert rows == [["synthetic", 1.0, 0.5, 0]]
 
 
@@ -239,16 +241,51 @@ class TestExitCodes:
         assert _run(capsys, ["--help"])[0] == 0
 
     def test_rejection_exits_3(self, capsys):
-        code, _, err = _run(
-            capsys, ["analyze", "qbd", "--p1", "1.0", "--p2", "0.5", "--l2", "0.1"]
-        )
-        assert code == 3
-        assert err.startswith("rejected:")
-        code, _, err = _run(
-            capsys, ["analyze", "qbd", "--p1", "0.5", "--p2", "0.5", "--l2", "0.3"]
-        )
-        assert code == 3
-        assert err.startswith("rejected:")
+        # degenerate, unstable, and the critical witness where sp(R) = 1 and
+        # the rate-matrix fixed point would stall
+        for p1, p2, l2 in (("1.0", "0.5", "0.1"), ("0.5", "0.5", "0.3"), ("0.5", "0.5", "0.2")):
+            code, _, err = _run(capsys, ["analyze", "qbd", "--p1", p1, "--p2", p2, "--l2", l2])
+            assert code == 3
+            assert err.startswith("rejected:")
+
+
+class TestClosedFormBytes:
+    # sha256 of stdout.  These commands are closed-form arithmetic only, so a
+    # moved byte means a region clause or envelope changed its arithmetic.
+    GOLDEN = [
+        ("region --p1 0 --p2 0 --lambda-step 0.05",
+         "bb5e01bc535919a73ada7413775b6ad07201570657242413c6d6e758ad498ddb"),
+        ("region --p1 0 --p2 0.5 --lambda-step 0.05",
+         "d49a3c3bc12947679ec9f64d4c0b1ae4fa9992fc645ce4708f7f7aa63f395edd"),
+        ("region --p1 0 --p2 1 --lambda-step 0.05",
+         "52651c4c9d9d11054581bc10fdbbc930c08adb307ae7d29861e7c638a4f45dcf"),
+        ("region --p1 0.5 --p2 0 --lambda-step 0.05",
+         "4b24962993036f26c3817b9401a7cb2027ea7d27b8b00c1d71158c2f943aa4e9"),
+        ("region --p1 0.5 --p2 0.5 --lambda-step 0.05",
+         "d6894d7fca88e9cac874538d5485c2de691572d04f67f475a8e7c18342882404"),
+        ("region --p1 0.5 --p2 1 --lambda-step 0.05",
+         "30b93fbab3682e7cc18caff4a1a30c317ab7f7fe06998922b5aeb705eb0204e5"),
+        ("region --p1 1 --p2 0 --lambda-step 0.05",
+         "2a4b68ee0f740a5f5045c92163cf640af0b3925e31dae456190841c4a8b4b21f"),
+        ("region --p1 1 --p2 0.5 --lambda-step 0.05",
+         "eb19b2b809a009bb294f5eae3eb76e34fb901e7c9f70c7a57ef7bdc8cad8655f"),
+        ("region --p1 1 --p2 1 --lambda-step 0.05",
+         "13f34087af30f013e46edf2e97c496263287262e9de2d71b648eeae184b73434"),
+        ("sweep --p-step 0.05 --lambda-step 0.05",
+         "405253c8d6418fecbe26535a1f7c6ebbcddcabe431703de893b0f4a74ed5e093"),
+        ("boundary --scheme priority",
+         "fbbaef55ae093fe624c38a7ee52d7ac16a88eeaba4347d6830c97b2a6e2bb634"),
+        ("boundary --scheme ra",
+         "2baa7de756d380b90479837dd60bb815a0cbcf98bc0d33214bc2e3d8db70a294"),
+        ("boundary --scheme td",
+         "b29aa07181ac9b7951e323edcb1c9f94022596f88f855a0b672f9bc45a70439c"),
+    ]
+
+    @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+    def test_output_bytes_pinned(self, capsys, command, digest):
+        code, out, _ = _run(capsys, command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOutFlag:

@@ -14,14 +14,13 @@ from aloha_priority.model import (
     advance_slot,
 )
 
-P = AccessProbabilities(0.5, 0.5)
 FP = ProtocolKind.FEEDBACK_PRIORITY
 RA = ProtocolKind.CONVENTIONAL_RA
 NONE = DominanceMode.NONE
 
 
 def step(state, kind=FP, mode=NONE, arrivals=(False, False), draws=(False, False)):
-    return advance_slot(state, kind, mode, P, arrivals, draws)
+    return advance_slot(state, kind, mode, arrivals, draws)
 
 
 class TestParameterTypes:
@@ -83,14 +82,12 @@ class TestSlotSemantics:
         assert state.q2_len == 0
 
     def test_ds3_forced_alternation(self):
-        # both saturated at p=(1,1): collision, reserved success, collision, ...
-        p = AccessProbabilities(1.0, 1.0)
+        # both saturated, every access coin up (as at p=(1,1)): collision,
+        # reserved success, collision, ...
         state = SystemState(0, 5, Phase.NORMAL)
         outcomes = []
         for _ in range(6):
-            state, outcome = advance_slot(
-                state, FP, DominanceMode.DS3, p, (False, False), (True, True)
-            )
+            state, outcome = step(state, mode=DominanceMode.DS3, draws=(True, True))
             outcomes.append(outcome)
         assert outcomes == [
             SlotOutcome.COLLISION,
@@ -125,7 +122,6 @@ class TestTrajectoryProperties:
                 state,
                 kind,
                 mode,
-                p,
                 (rng.random() < l1, rng.random() < l2),
                 (rng.random() < p.p1, rng.random() < p.p2),
             )

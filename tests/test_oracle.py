@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import assemble
 from numpy.testing import assert_allclose
 
 from aloha_priority.model import (
@@ -58,7 +59,7 @@ class TestKernel:
         cols = [0] + list(range(2, 2 * k_max))
         for p, l2 in ((HALF, 0.1), (SKEW, 0.2), (AccessProbabilities(0.9, 0.4), 0.01)):
             chain = build_chain(DominanceMode.DS2, p, l2, k_max)
-            assembled = qbd_blocks(p, l2).assemble(k_max + 1)
+            assembled = assemble(qbd_blocks(p, l2), k_max + 1)
             assert_allclose(chain.matrix[:, cols], assembled[:, cols], atol=1e-13)
 
     def test_truncation_clamps_top_level(self):

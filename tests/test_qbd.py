@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import assemble
 from numpy.testing import assert_allclose
 
 from aloha_priority.errors import (
@@ -58,13 +59,13 @@ class TestBlocks:
                 assert np.all(block >= 0.0) and np.all(block <= 1.0)
 
     def test_assembled_structure(self):
-        t = qbd_blocks(HALF, 0.1).assemble(6)
+        t = assemble(qbd_blocks(HALF, 0.1), 6)
         # interior columns sum to 1; level-0 ON column too
         sums = t.sum(axis=0)
         assert_allclose(sums[2:10], 1.0, atol=1e-14)
         assert_allclose(sums[0], 1.0, atol=1e-14)
         with pytest.raises(ValueError):
-            qbd_blocks(HALF, 0.1).assemble(2)
+            assemble(qbd_blocks(HALF, 0.1), 2)
 
 
 class TestRateMatrix:

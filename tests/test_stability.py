@@ -11,6 +11,8 @@ from aloha_priority.stability import (
     ds1_rho,
     ds1_service_rate_q2,
     ds1_steady_state,
+    ds2_l2_limit,
+    ds2_mu1,
     ds2_region_contains,
     ds3_steady_state,
     optimal_p2,
@@ -128,6 +130,14 @@ class TestRegionPredicates:
         # must never be evaluated
         v = ds2_region_contains(AccessProbabilities(1.0, 0.9), ArrivalRates(0.1, 0.05))
         assert not v.stable and v.binding == "l2"
+
+    def test_ds2_l2_limit_inverts_the_l1_clause(self):
+        # the sweep uses the DS2 clause solved for l2; substituting that l2
+        # back into the queue-1 rate must give l1 again
+        rng = np.random.default_rng(127)
+        p1 = rng.uniform(0.01, 0.99, size=500)
+        l1 = rng.uniform(0.01, 0.99, size=500)
+        assert_allclose(ds2_mu1(p1, ds2_l2_limit(p1, l1)), l1, rtol=1e-12)
 
     def test_union_examples(self):
         half = AccessProbabilities(0.5, 0.5)

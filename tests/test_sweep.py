@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from aloha_priority.stability import priority_boundary, ra_boundary, td_boundary
+from aloha_priority.model import AccessProbabilities, ArrivalRates
+from aloha_priority.stability import (
+    priority_boundary,
+    ra_boundary,
+    td_boundary,
+    union_region_contains,
+)
 from aloha_priority.sweep import compare_envelopes, envelope_at, sweep
 
 
@@ -39,6 +45,20 @@ class TestEnvelopeAt:
         # resolution; the sweep reports a zero envelope rather than guessing
         grid = np.arange(101) / 100
         assert envelope_at(0.995, grid, grid) == (0.0, 0.0, 0.0)
+
+
+    def test_just_above_is_rejected(self):
+        # the probe samples approach the envelope from inside; from outside,
+        # the region predicate must refuse the envelope value at its argmax p
+        grid = np.arange(101) / 100
+        for l1 in np.arange(1, 100) / 100:
+            value, p1, p2 = envelope_at(float(l1), grid, grid)
+            if value <= 0.0:
+                continue
+            verdict = union_region_contains(
+                AccessProbabilities(p1, p2), ArrivalRates(float(l1), value * (1.0 + 1e-9))
+            )
+            assert not verdict.stable, (l1, value, p1, p2)
 
 
 class TestSweep:
