@@ -41,8 +41,6 @@ from .simulate import (
     DEFAULT_SEED,
     SimulationConfig,
     SimulationMetrics,
-    StabilityThresholds,
-    classify_stability,
     run,
     run_trajectory,
 )

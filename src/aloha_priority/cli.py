@@ -1,17 +1,17 @@
 """Command-line surface.
 
 Subcommands: boundary, region, sweep, simulate, analyze qbd, verify.
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 degenerate
-or unstable parameter rejection (or a solver that cannot converge).  All
-output is deterministic given the same flags and seed.
+Exit codes: 0 success, 1 usage error (an unwritable --out path included),
+2 verification failure, 3 degenerate or unstable parameter rejection (or a
+solver that cannot converge).  All output is deterministic given the same
+flags and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-
-import numpy as np
 
 from . import qbd, reports, simulate, verify
 from .errors import AlohaError
@@ -166,18 +166,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "argmax_p1",
         "argmax_p2",
     ]
-    rows = [
-        [
-            dataset.lambda1[i],
-            dataset.priority_numeric[i],
-            dataset.priority_closed[i],
-            dataset.ra[i],
-            dataset.td[i],
-            dataset.argmax_p1[i],
-            dataset.argmax_p2[i],
-        ]
-        for i in range(dataset.lambda1.shape[0])
-    ]
+    rows = [list(row) for row in zip(*(getattr(dataset, c) for c in columns))]
     _write(reports.emit_table(columns, rows, args.format), args.out)
     return 0
 
@@ -203,25 +192,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "slots": args.slots,
         "warmup": config.warmup,
         "seed": args.seed,
-        "delivered_q1": metrics.delivered[0],
-        "delivered_q2": metrics.delivered[1],
-        "busy_slots_q1": metrics.busy_slots[0],
-        "busy_slots_q2": metrics.busy_slots[1],
-        "mu_q1": metrics.empirical_mu[0],
-        "mu_q2": metrics.empirical_mu[1],
-        "mu_stderr_q1": metrics.mu_stderr[0],
-        "mu_stderr_q2": metrics.mu_stderr[1],
-        "backoff_occupancy": metrics.backoff_occupancy,
-        "occupancy_stderr": metrics.occupancy_stderr,
-        "mean_len_q1": metrics.mean_len[0],
-        "mean_len_q2": metrics.mean_len[1],
-        "final_len_q1": metrics.final_len[0],
-        "final_len_q2": metrics.final_len[1],
-        "drift_q1": metrics.drift[0],
-        "drift_q2": metrics.drift[1],
-        "verdict_q1": metrics.verdict[0],
-        "verdict_q2": metrics.verdict[1],
     }
+    for f in dataclasses.fields(metrics):
+        value = getattr(metrics, f.name)
+        if isinstance(value, tuple):
+            report[f"{f.name}_q1"], report[f"{f.name}_q2"] = value
+        else:
+            report[f.name] = value
     _write(reports.emit_report(report, args.format), args.out)
     return 0
 
@@ -233,7 +210,6 @@ def cmd_analyze_qbd(args: argparse.Namespace) -> int:
     # rejects unstable and critical points before the solver can stall on them
     pi0 = qbd.ds2_pi0(p, args.l2)
     solved = qbd.solve_rate_matrix(blocks)
-    residual = blocks.a2 + (blocks.a1 - np.eye(2)) @ r + blocks.a0 @ (r @ r)
     report = {"p1": args.p1, "p2": args.p2, "l2": args.l2}
     for name, matrix in (
         ("b", blocks.b),
@@ -248,8 +224,8 @@ def cmd_analyze_qbd(args: argparse.Namespace) -> int:
                 report[f"{name}_{i}{j}"] = float(matrix[i, j])
     report.update(
         {
-            "r_balance_residual": float(np.max(np.abs(residual))),
-            "solver_max_delta": float(np.max(np.abs(solved - r))),
+            "r_balance_residual": qbd.balance_residual(blocks, r),
+            "solver_max_delta": float(abs(solved - r).max()),
             "sp_closed_form": qbd.spectral_radius_closed_form(p, args.l2),
             "sp_eigen": qbd.spectral_radius(r),
             "pi0": pi0,
@@ -282,7 +258,8 @@ def main(argv: list[str] | None = None) -> int:
     except AlohaError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an --out path that cannot be written
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

@@ -47,6 +47,15 @@ class DominanceMode(enum.Enum):
     DS3 = "ds3"  # both saturated
 
 
+# which queues contend as saturated (sending dummies when empty), per mode
+SATURATED = {
+    DominanceMode.NONE: (False, False),
+    DominanceMode.DS1: (False, True),
+    DominanceMode.DS2: (True, False),
+    DominanceMode.DS3: (True, True),
+}
+
+
 class Phase(enum.IntEnum):
     NORMAL = 0
     BACKOFF = 1
@@ -124,8 +133,7 @@ def advance_slot(
 
     priority = kind is ProtocolKind.FEEDBACK_PRIORITY
     reserved = priority and state.phase is Phase.BACKOFF
-    forced1 = mode is DominanceMode.DS2 or mode is DominanceMode.DS3
-    forced2 = mode is DominanceMode.DS1 or mode is DominanceMode.DS3
+    forced1, forced2 = SATURATED[mode]
 
     has1 = forced1 or q1 > 0
     has2 = forced2 or q2 > 0

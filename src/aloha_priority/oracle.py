@@ -77,7 +77,9 @@ def build_chain(
 
     tracked_q1 = mode is DominanceMode.DS1
     n = 2 * (k_max + 1)
-    matrix = np.zeros((n, n))
+    chain = TruncatedChain(
+        mode=mode, p=p, arrival_rate=arrival_rate, k_max=k_max, matrix=np.zeros((n, n))
+    )
 
     coin_weights = (
         (True, arrival_rate),
@@ -88,7 +90,7 @@ def build_chain(
 
     for level in range(k_max + 1):
         for phase in PHASES:
-            j = 2 * level + (1 if phase is Phase.BACKOFF else 0)
+            j = chain.index(level, phase)
             state = (
                 SystemState(level, 0, phase)
                 if tracked_q1
@@ -109,14 +111,11 @@ def build_chain(
                     (d1, d2),
                 )
                 nxt_level = nxt.q1_len if tracked_q1 else nxt.q2_len
-                if nxt_level > k_max:
-                    nxt_level = k_max  # clamp at the cap, phase preserved
-                i = 2 * nxt_level + (1 if nxt.phase is Phase.BACKOFF else 0)
-                matrix[i, j] += weight
+                # clamp at the cap, phase preserved
+                i = chain.index(min(nxt_level, k_max), nxt.phase)
+                chain.matrix[i, j] += weight
 
-    return TruncatedChain(
-        mode=mode, p=p, arrival_rate=arrival_rate, k_max=k_max, matrix=matrix
-    )
+    return chain
 
 
 def stationary(chain: TruncatedChain) -> np.ndarray:

@@ -145,6 +145,12 @@ def solve_rate_matrix(
     )
 
 
+def balance_residual(blocks: QbdBlocks, r: np.ndarray) -> float:
+    """Largest entry of |A2 + (A1 - I) R + A0 R^2|; 0 for an exact rate matrix."""
+    residual = blocks.a2 + (blocks.a1 - np.eye(2)) @ r + blocks.a0 @ (r @ r)
+    return float(np.max(np.abs(residual)))
+
+
 def rate_matrix_closed_form(p: AccessProbabilities, l2: float) -> np.ndarray:
     """Explicit elementwise R; undefined at p1 = 1 or p2 = 0."""
     p1, p2 = p.p1, p.p2

@@ -5,7 +5,8 @@ rendered with repr, the shortest string that parses back to the exact same
 double, so every emitted dataset re-parses to identical values and repeated
 runs are byte-identical.  Tabular datasets become csv tables or a json
 object {"columns": [...], "rows": [[...]]}; scalar reports become two-column
-field/value csv or a flat json object.
+field/value csv or a flat json object.  Json has no NaN or infinity, so a
+non-finite float is written as null there; csv writes its repr (``nan``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Any
 
 
@@ -22,6 +24,14 @@ def _py(value: Any) -> Any:
         value = value.item()
     if isinstance(value, bool):
         return int(value)
+    return value
+
+
+def _json(value: Any) -> Any:
+    """``_py``, with a non-finite float as null."""
+    value = _py(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -42,7 +52,7 @@ def table_to_csv(columns: list[str], rows: list[list[Any]]) -> str:
 
 
 def table_to_json(columns: list[str], rows: list[list[Any]]) -> str:
-    payload = {"columns": columns, "rows": [[_py(v) for v in row] for row in rows]}
+    payload = {"columns": columns, "rows": [[_json(v) for v in row] for row in rows]}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -56,7 +66,7 @@ def report_to_csv(report: dict[str, Any]) -> str:
 
 
 def report_to_json(report: dict[str, Any]) -> str:
-    return json.dumps({k: _py(v) for k, v in report.items()}, indent=2) + "\n"
+    return json.dumps({k: _json(v) for k, v in report.items()}, indent=2) + "\n"
 
 
 def emit_table(columns: list[str], rows: list[list[Any]], fmt: str) -> str:

@@ -15,11 +15,12 @@ because successive slots are strongly correlated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
+    SATURATED,
     AccessProbabilities,
     ArrivalRates,
     DominanceMode,
@@ -38,22 +39,15 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_SEED = 24301
 
 _N_BATCHES = 100
-# classify_stability needs at least this many post-warmup samples to commit
+
+# Drift verdict limits.  Stable needs a flat trajectory and a final length
+# that is small relative to the run length; unstable needs clear positive
+# drift.  Anything in between, or a window shorter than _MIN_SAMPLES, stays
+# inconclusive.
 _MIN_SAMPLES = 10_000
-
-
-@dataclass(frozen=True)
-class StabilityThresholds:
-    """Decision thresholds for the drift-based stability verdict.
-
-    Stable needs a flat trajectory and a final length that is small relative
-    to the run length; unstable needs clear positive drift.  Anything in
-    between stays inconclusive.
-    """
-
-    stable_slope: float = 1e-3
-    unstable_slope: float = 5e-3
-    final_fraction: float = 0.01
+_STABLE_SLOPE = 1e-3
+_UNSTABLE_SLOPE = 5e-3
+_FINAL_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,6 @@ class SimulationConfig:
     horizon: int
     seed: int
     warmup: int | None = None
-    thresholds: StabilityThresholds = field(default_factory=StabilityThresholds)
 
     def __post_init__(self) -> None:
         if self.horizon < 2:
@@ -98,15 +91,16 @@ class SimulationMetrics:
     """Post-warmup statistics of one run.
 
     ``delivered`` counts successful transmissions, including dummy successes
-    of saturated queues; ``empirical_mu`` normalises by every post-warmup
-    slot for a saturated queue and by busy slots (packet present at access
-    time) otherwise.  ``drift`` is the least-squares slope of the end-of-slot
-    queue length, in packets per slot.
+    of saturated queues; ``mu`` normalises by every post-warmup slot for a
+    saturated queue and by busy slots (packet present at access time)
+    otherwise.  ``drift`` is the least-squares slope of the end-of-slot queue
+    length, in packets per slot.  Field names and order are those of the
+    ``simulate`` report, a pair becoming ``<name>_q1`` and ``<name>_q2``.
     """
 
     delivered: tuple[int, int]
     busy_slots: tuple[int, int]
-    empirical_mu: tuple[float, float]
+    mu: tuple[float, float]
     mu_stderr: tuple[float, float]
     backoff_occupancy: float
     occupancy_stderr: float
@@ -116,16 +110,9 @@ class SimulationMetrics:
     verdict: tuple[str, str]
 
 
-def _batch_rate(values: np.ndarray, base: np.ndarray | None = None) -> tuple[float, float]:
-    """Overall rate of ``values`` (per slot, or per base slot) and its batch SE."""
-    n = values.shape[0]
-    m = n // _N_BATCHES
-    if base is None:
-        rate = float(values.mean()) if n else float("nan")
-        if m == 0:
-            return rate, float("nan")
-        batch = values[: _N_BATCHES * m].reshape(_N_BATCHES, m).mean(axis=1)
-        return rate, float(batch.std(ddof=1) / _N_BATCHES**0.5)
+def _batch_rate(values: np.ndarray, base: np.ndarray) -> tuple[float, float]:
+    """Overall rate of ``values`` per base slot and its batch SE."""
+    m = values.shape[0] // _N_BATCHES
     total_base = int(base.sum())
     rate = float(values.sum() / total_base) if total_base else float("nan")
     if m == 0:
@@ -148,35 +135,19 @@ def _slope(lengths: np.ndarray) -> float:
     return float(np.polyfit(x, lengths, 1)[0])
 
 
-def _verdict(
-    lengths: np.ndarray,
-    slope: float,
-    thresholds: StabilityThresholds,
-    total_slots: int | None,
-) -> str:
-    """``classify_stability`` given the trajectory's least-squares slope."""
-    n = lengths.shape[0]
-    if n < _MIN_SAMPLES:
-        return INCONCLUSIVE
-    total = total_slots if total_slots is not None else n
-    if abs(slope) < thresholds.stable_slope and lengths[-1] < thresholds.final_fraction * total:
-        return STABLE
-    if slope > thresholds.unstable_slope:
-        return UNSTABLE
-    return INCONCLUSIVE
-
-
-def classify_stability(
-    lengths: np.ndarray,
-    thresholds: StabilityThresholds,
-    total_slots: int | None = None,
-) -> str:
+def _verdict(lengths: np.ndarray, slope: float, total_slots: int) -> str:
     """Drift-based verdict on one queue's post-warmup length trajectory.
 
-    Fewer than 10^4 samples is treated as inconclusive outright; no verdict
-    from a short window is worth reporting.
+    ``slope`` is the trajectory's least-squares slope and ``total_slots`` the
+    run length the final queue length is judged against.
     """
-    return _verdict(lengths, _slope(lengths), thresholds, total_slots)
+    if lengths.shape[0] < _MIN_SAMPLES:
+        return INCONCLUSIVE
+    if abs(slope) < _STABLE_SLOPE and lengths[-1] < _FINAL_FRACTION * total_slots:
+        return STABLE
+    if slope > _UNSTABLE_SLOPE:
+        return UNSTABLE
+    return INCONCLUSIVE
 
 
 def run_trajectory(config: SimulationConfig) -> Trajectory:
@@ -228,18 +199,18 @@ def summarize(trajectory: Trajectory, config: SimulationConfig) -> SimulationMet
         out == int(SlotOutcome.PRIORITY_RETRANSMISSION)
     )
     success2 = out == int(SlotOutcome.SUCCESS_Q2)
-    forced1 = config.mode in (DominanceMode.DS2, DominanceMode.DS3)
-    forced2 = config.mode in (DominanceMode.DS1, DominanceMode.DS3)
+    forced1, forced2 = SATURATED[config.mode]
+    every = np.ones(out.shape[0], dtype=bool)
 
-    mu1, se1 = _batch_rate(success1, None if forced1 else busy1)
-    mu2, se2 = _batch_rate(success2, None if forced2 else busy2)
-    occ, occ_se = _batch_rate(trajectory.phase_start[w:].astype(np.float64))
+    mu1, se1 = _batch_rate(success1, every if forced1 else busy1)
+    mu2, se2 = _batch_rate(success2, every if forced2 else busy2)
+    occ, occ_se = _batch_rate(trajectory.phase_start[w:], every)
 
     drift1, drift2 = _slope(q1), _slope(q2)
     return SimulationMetrics(
         delivered=(int(success1.sum()), int(success2.sum())),
         busy_slots=(int(busy1.sum()), int(busy2.sum())),
-        empirical_mu=(mu1, mu2),
+        mu=(mu1, mu2),
         mu_stderr=(se1, se2),
         backoff_occupancy=occ,
         occupancy_stderr=occ_se,
@@ -247,8 +218,8 @@ def summarize(trajectory: Trajectory, config: SimulationConfig) -> SimulationMet
         final_len=(int(q1[-1]), int(q2[-1])),
         drift=(drift1, drift2),
         verdict=(
-            _verdict(q1, drift1, config.thresholds, config.horizon),
-            _verdict(q2, drift2, config.thresholds, config.horizon),
+            _verdict(q1, drift1, config.horizon),
+            _verdict(q2, drift2, config.horizon),
         ),
     )
 

@@ -33,32 +33,32 @@ def _check(name: str, value: float, threshold: float) -> CheckResult:
 
 
 def ds1_analytic_vector(p: AccessProbabilities, l1: float, k_max: int) -> np.ndarray:
-    """Closed-form stationary law arranged on the oracle's state grid."""
+    """Closed-form stationary law arranged on the oracle's state grid.
+
+    The grid is level-major, normal phase first: (pi_0, eps_0, pi_1, eps_1, ...).
+    """
     ss = ds1_steady_state(p, l1)
-    v = np.zeros(2 * (k_max + 1))
-    for k in range(k_max + 1):
-        v[2 * k] = ss.pi(k)
-        v[2 * k + 1] = ss.eps(k)
-    return v
+    return np.array([(ss.pi(k), ss.eps(k)) for k in range(k_max + 1)]).ravel()
 
 
 def ds2_analytic_vector(p: AccessProbabilities, l2: float, k_max: int) -> np.ndarray:
-    levels = qbd.ds2_stationary(p, l2, k_max).levels
-    v = np.zeros(2 * (k_max + 1))
-    v[0::2] = levels[:, 0]
-    v[1::2] = levels[:, 1]
-    return v
+    """The matrix-geometric DS2 law on the same grid."""
+    return qbd.ds2_stationary(p, l2, k_max).levels.ravel()
+
+
+def _analytic_vector(
+    mode: DominanceMode, p: AccessProbabilities, rate: float, k_max: int
+) -> np.ndarray:
+    if mode is DominanceMode.DS1:
+        return ds1_analytic_vector(p, rate, k_max)
+    return ds2_analytic_vector(p, rate, k_max)
 
 
 def oracle_tv(mode: DominanceMode, p: AccessProbabilities, rate: float, k_max: int = 200) -> float:
     """Total variation between the truncated oracle and the closed form."""
     chain = oracle.build_chain(mode, p, rate, k_max)
     pi = oracle.stationary(chain)
-    if mode is DominanceMode.DS1:
-        analytic = ds1_analytic_vector(p, rate, k_max)
-    else:
-        analytic = ds2_analytic_vector(p, rate, k_max)
-    return oracle.total_variation(pi, analytic)
+    return oracle.total_variation(pi, _analytic_vector(mode, p, rate, k_max))
 
 
 def local_balance_residual(
@@ -72,33 +72,9 @@ def local_balance_residual(
     floating-point accuracy.
     """
     chain = oracle.build_chain(mode, p, rate, k_max)
-    if mode is DominanceMode.DS1:
-        analytic = ds1_analytic_vector(p, rate, k_max)
-    else:
-        analytic = ds2_analytic_vector(p, rate, k_max)
+    analytic = _analytic_vector(mode, p, rate, k_max)
     residual = chain.matrix @ analytic - analytic
     return float(np.max(np.abs(residual[: 2 * (k_max - 1)])))
-
-
-def qbd_grid_points(step: float = 0.05, band: float = 1e-9) -> list[tuple[float, float, float]]:
-    """All (p1, p2, l2) grid combinations strictly inside the queue-2 bound.
-
-    The band keeps out near-boundary points; the grid contains one exact
-    boundary hit, (0.25, 0.8, 0.5), where sp(R) = 1 and the fixed point
-    cannot reach solver tolerance.
-    """
-    n = round(1.0 / step)
-    points = []
-    for i in range(1, n):
-        p1 = i / n
-        for j in range(1, n + 1):
-            p2 = j / n
-            bound = ds3_mu2(p1, p2)
-            for k in range(1, n):
-                l2 = k / n
-                if l2 < bound - band:
-                    points.append((p1, p2, l2))
-    return points
 
 
 def suite_ds1() -> list[CheckResult]:
@@ -129,24 +105,17 @@ def suite_ds1() -> list[CheckResult]:
 
 
 def suite_qbd() -> list[CheckResult]:
+    """Closed-form R on the 0.05 grid of (p1, p2, l2), then three deep points.
+
+    Points within 1e-9 of the queue-2 bound are skipped: the grid holds one
+    exact boundary hit, (0.25, 0.8, 0.5), where sp(R) = 1 and the fixed point
+    cannot reach solver tolerance.  Stability equivalence is checked in both
+    directions; the balance, solver and radius checks need a stable point.
+    """
     max_balance = 0.0
     max_solver = 0.0
     max_sp = 0.0
     equivalence_ok = True
-    eye = np.eye(2)
-    for p1, p2, l2 in qbd_grid_points():
-        p = AccessProbabilities(p1, p2)
-        blocks = qbd.qbd_blocks(p, l2)
-        r = qbd.rate_matrix_closed_form(p, l2)
-        residual = blocks.a2 + (blocks.a1 - eye) @ r + blocks.a0 @ (r @ r)
-        max_balance = max(max_balance, float(np.max(np.abs(residual))))
-        solved = qbd.solve_rate_matrix(blocks)
-        max_solver = max(max_solver, float(np.max(np.abs(solved - r))))
-        max_sp = max(
-            max_sp,
-            abs(qbd.spectral_radius(r) - qbd.spectral_radius_closed_form(p, l2)),
-        )
-    # stability equivalence sweeps the full l2 grid, both directions
     n = 20
     for i in range(1, n):
         for j in range(1, n + 1):
@@ -156,9 +125,17 @@ def suite_qbd() -> list[CheckResult]:
                 l2 = k / n
                 if abs(l2 - bound) <= 1e-9:
                     continue
-                sp = qbd.spectral_radius(qbd.rate_matrix_closed_form(p, l2))
+                r = qbd.rate_matrix_closed_form(p, l2)
+                sp = qbd.spectral_radius(r)
                 if (sp < 1.0) != (l2 < bound):
                     equivalence_ok = False
+                if l2 >= bound:
+                    continue
+                blocks = qbd.qbd_blocks(p, l2)
+                max_balance = max(max_balance, qbd.balance_residual(blocks, r))
+                solved = qbd.solve_rate_matrix(blocks)
+                max_solver = max(max_solver, float(np.max(np.abs(solved - r))))
+                max_sp = max(max_sp, abs(sp - qbd.spectral_radius_closed_form(p, l2)))
 
     checks = [
         _check("qbd R-balance residual (0.05 grid)", max_balance, 1e-10),
@@ -222,14 +199,14 @@ def suite_ds3(horizon: int = 200_000, seed: int = DEFAULT_SEED) -> list[CheckRes
         checks.append(
             _check(
                 f"ds3 mu1 vs closed form {tag} (4 se)",
-                abs(metrics.empirical_mu[0] - ss.mu1),
+                abs(metrics.mu[0] - ss.mu1),
                 4.0 * metrics.mu_stderr[0],
             )
         )
         checks.append(
             _check(
                 f"ds3 mu2 vs closed form {tag} (4 se)",
-                abs(metrics.empirical_mu[1] - ss.mu2),
+                abs(metrics.mu[1] - ss.mu2),
                 4.0 * metrics.mu_stderr[1],
             )
         )

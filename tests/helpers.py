@@ -1,8 +1,10 @@
-"""Readers for the emitted reports and a QBD matrix builder, used only by tests.
+"""Readers for the emitted reports, a QBD matrix builder and a verdict
+shortcut, used only by tests.
 
 The parsers invert :mod:`aloha_priority.reports` so tests can assert on
 emitted values; ``assemble`` lays the QBD blocks out as a truncated
-block-tridiagonal matrix for comparison with the enumerated oracle kernel.
+block-tridiagonal matrix for comparison with the enumerated oracle kernel;
+``classify_stability`` runs the simulator's drift verdict on a bare trajectory.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Any
 import numpy as np
 
 from aloha_priority.qbd import QbdBlocks
+from aloha_priority.simulate import _slope, _verdict
 
 
 def _coerce(text: str) -> Any:
@@ -50,6 +53,12 @@ def parse_csv_report(text: str) -> dict[str, Any]:
 
 def parse_json_report(text: str) -> dict[str, Any]:
     return json.loads(text)
+
+
+def classify_stability(lengths: np.ndarray, total_slots: int | None = None) -> str:
+    """The verdict ``simulate.summarize`` gives a queue with this trajectory."""
+    total = lengths.shape[0] if total_slots is None else total_slots
+    return _verdict(lengths, _slope(lengths), total)
 
 
 def assemble(blocks: QbdBlocks, n_levels: int) -> np.ndarray:

@@ -149,7 +149,7 @@ def test_criterion_4_service_rate_laws_three_se():
     ]:
         metrics = _simulate(DominanceMode.DS1, p, (l1, 0.5))
         analytic = ds1_service_rate_q2(AccessProbabilities(*p), l1)
-        gap = abs(metrics.empirical_mu[1] - analytic)
+        gap = abs(metrics.mu[1] - analytic)
         if not gap <= 3.0 * metrics.mu_stderr[1]:
             failures.append(f"ds1 mu2 at p={p}, l1={l1}: gap {gap}")
 
@@ -162,7 +162,7 @@ def test_criterion_4_service_rate_laws_three_se():
     ]:
         metrics = _simulate(DominanceMode.DS2, p, (0.5, l2))
         analytic = ds2_service_rate_q1(AccessProbabilities(*p), l2)
-        gap = abs(metrics.empirical_mu[0] - analytic)
+        gap = abs(metrics.mu[0] - analytic)
         if not gap <= 3.0 * metrics.mu_stderr[0]:
             failures.append(f"ds2 mu1 at p={p}, l2={l2}: gap {gap}")
 

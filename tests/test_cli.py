@@ -169,6 +169,23 @@ class TestSimulateCommand:
         assert report["verdict_q1"] in ("stable", "unstable", "inconclusive")
         assert 0.0 <= report["backoff_occupancy"] <= 1.0
 
+    def test_short_run_json_is_strict(self, capsys):
+        # 25 post-warmup slots are too few for batch standard errors; json
+        # has no NaN, so those fields must come out as null
+        def reject(name):
+            raise ValueError(f"non-standard json constant {name}")
+
+        code, out, _ = _run(
+            capsys,
+            ["simulate", "--p1", "0.5", "--p2", "0.5", "--l1", "0.2", "--l2", "0.2",
+             "--slots", "50", "--format", "json"],
+        )
+        assert code == 0
+        report = json.loads(out, parse_constant=reject)
+        assert report["mu_stderr_q1"] is None
+        assert report["occupancy_stderr"] is None
+        assert report["mu_q1"] == report["delivered_q1"] / report["busy_slots_q1"]
+
 
 class TestAnalyzeQbd:
     def test_reference_report(self, capsys):
@@ -237,6 +254,13 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("usage error:")
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = _run(capsys, ["boundary", "--scheme", "ra", "--out", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+
     def test_help_exits_0(self, capsys):
         assert _run(capsys, ["--help"])[0] == 0
 
@@ -249,9 +273,15 @@ class TestExitCodes:
             assert err.startswith("rejected:")
 
 
+_SIM = "simulate --kind {} --mode {} --p1 0.5 --p2 0.5 --l1 0.15 --l2 0.1 --slots 30000 --format {}"
+
+
 class TestClosedFormBytes:
-    # sha256 of stdout.  These commands are closed-form arithmetic only, so a
-    # moved byte means a region clause or envelope changed its arithmetic.
+    # sha256 of stdout.  The region, sweep and boundary commands are
+    # closed-form arithmetic only, so a moved byte means a region clause or
+    # envelope changed its arithmetic.  The simulate commands run at the
+    # default seed, so a moved byte means a statistic, a verdict or the report
+    # layout changed.
     GOLDEN = [
         ("region --p1 0 --p2 0 --lambda-step 0.05",
          "bb5e01bc535919a73ada7413775b6ad07201570657242413c6d6e758ad498ddb"),
@@ -279,6 +309,43 @@ class TestClosedFormBytes:
          "2baa7de756d380b90479837dd60bb815a0cbcf98bc0d33214bc2e3d8db70a294"),
         ("boundary --scheme td",
          "b29aa07181ac9b7951e323edcb1c9f94022596f88f855a0b672f9bc45a70439c"),
+        (_SIM.format("priority", "none", "csv"),
+         "a8d101dd876f9fdcb3e5326a01ba89d8b085d7211bd526eae8887a35107d3732"),
+        (_SIM.format("priority", "none", "json"),
+         "f486329e36a249c25bc1a578241900682cd5fe8007a7910f195726d2647f7ccd"),
+        (_SIM.format("priority", "ds1", "csv"),
+         "4282b8bab40fe88836b52230596f9d9d4084ff7938eeff8c8c6660681cb0155a"),
+        (_SIM.format("priority", "ds1", "json"),
+         "5eab114c65d8eeded352f2232eb74d54fbaacd0cb92e68454688fd2e7fec1637"),
+        (_SIM.format("priority", "ds2", "csv"),
+         "9e46c0ad208bdac45f50f999a5faa902b4897d233654215483c1dc3a4b5a74f1"),
+        (_SIM.format("priority", "ds2", "json"),
+         "36dd842110f33c3579fc02c9c2614f14dd651a08f1277002059d3c69722452a8"),
+        (_SIM.format("priority", "ds3", "csv"),
+         "ecb4adffc1bc5fb53f34b46e3a2c48fbc6cb02e3ce7badf2753de4d50ef9170e"),
+        (_SIM.format("priority", "ds3", "json"),
+         "bc272253ac52cb80a75866291f73a6e8eabb1941a2f327e984aa64d51989c4b3"),
+        (_SIM.format("conventional", "none", "csv"),
+         "f9e585b56e015058271691e37bde57b5153ce588f6be4d90521703b006c68102"),
+        (_SIM.format("conventional", "none", "json"),
+         "f2bdc7e333f35eb01276cb6454b7b1ffa0e931153236c449096e8307700682e6"),
+        (_SIM.format("conventional", "ds1", "csv"),
+         "9487bb65c77690e859777f76cc4e2bd887e8bc70563a0f58bc9998f48ee8be24"),
+        (_SIM.format("conventional", "ds1", "json"),
+         "7a423b8502ef25b852081509719e6706c16f41d74a6c1bba310b301c8139521e"),
+        (_SIM.format("conventional", "ds2", "csv"),
+         "801990430eb093a9da81a9fb487dd8c6d0953cccc2a7b352f96615d1a904b2c2"),
+        (_SIM.format("conventional", "ds2", "json"),
+         "8abd929c67a88b4dd7236fcf97bec9c5f5bc88af88d09877618735d555d0016c"),
+        (_SIM.format("conventional", "ds3", "csv"),
+         "bc6264316a367d4a594597b8c9e01f81a8434b2fcacd23cf6f8c75a0d613ce69"),
+        (_SIM.format("conventional", "ds3", "json"),
+         "7a4c8cd6f4f9c8710c224512bd9ba16f6fade0be8ad755fbd5100eaf8006a402"),
+        ("simulate --mode ds1 --p1 0.5 --p2 0.5 --l1 0.2 --l2 0.5 --slots 30000 --warmup 0",
+         "698704fdc41eb62b2c640bcf54274e211bc3c88ad7df5ce0b17b0a09ef314d81"),
+        # too short for batch standard errors: the csv writes nan
+        ("simulate --p1 0.5 --p2 0.5 --l1 0.2 --l2 0.2 --slots 50",
+         "2751f8e928b005ab576f6980d58a308e680a32957f11d51796e53b04b3085d00"),
     ]
 
     @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])

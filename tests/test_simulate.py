@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import classify_stability
 
 from aloha_priority.model import (
     AccessProbabilities,
@@ -15,8 +16,6 @@ from aloha_priority.simulate import (
     STABLE,
     UNSTABLE,
     SimulationConfig,
-    StabilityThresholds,
-    classify_stability,
     run,
     run_trajectory,
 )
@@ -93,7 +92,7 @@ class TestReferencePoints:
         metrics = run(config)
         assert metrics.backoff_occupancy == 0.5
         assert metrics.occupancy_stderr == 0.0
-        assert metrics.empirical_mu == (0.5, 0.0)
+        assert metrics.mu == (0.5, 0.0)
         assert metrics.delivered == (2_500, 0)
 
     def test_saturated_q2_service_rate(self):
@@ -107,7 +106,7 @@ class TestReferencePoints:
         metrics = run(config)
         analytic = ds1_service_rate_q2(HALF, 0.2)
         assert analytic == pytest.approx(0.35, rel=1e-15)
-        assert abs(metrics.empirical_mu[1] - analytic) < max(
+        assert abs(metrics.mu[1] - analytic) < max(
             0.005, 4.0 * metrics.mu_stderr[1]
         )
         assert metrics.verdict[0] == STABLE
@@ -115,10 +114,10 @@ class TestReferencePoints:
     def test_unforced_rate_is_per_busy_slot(self):
         config = _config(horizon=100_000)
         metrics = run(config)
-        assert metrics.empirical_mu[0] == pytest.approx(
+        assert metrics.mu[0] == pytest.approx(
             metrics.delivered[0] / metrics.busy_slots[0], rel=1e-12
         )
-        assert metrics.empirical_mu[1] == pytest.approx(
+        assert metrics.mu[1] == pytest.approx(
             metrics.delivered[1] / metrics.busy_slots[1], rel=1e-12
         )
 
@@ -134,20 +133,20 @@ class TestReferencePoints:
 class TestClassifier:
     def test_clear_ramp_is_unstable(self):
         lengths = 0.1 * np.arange(20_000)
-        verdict = classify_stability(lengths, StabilityThresholds())
+        verdict = classify_stability(lengths)
         assert verdict == UNSTABLE
 
     def test_bounded_noise_is_stable(self):
         lengths = np.random.default_rng(5).poisson(3.0, 20_000).astype(np.float64)
-        assert classify_stability(lengths, StabilityThresholds()) == STABLE
+        assert classify_stability(lengths) == STABLE
 
     def test_short_window_is_inconclusive(self):
-        assert classify_stability(np.arange(100.0), StabilityThresholds()) == INCONCLUSIVE
+        assert classify_stability(np.arange(100.0)) == INCONCLUSIVE
 
     def test_flat_but_high_is_inconclusive(self):
         # no drift, yet the queue never came down: not stable, not unstable
         lengths = np.full(20_000, 5_000.0)
-        verdict = classify_stability(lengths, StabilityThresholds(), total_slots=20_000)
+        verdict = classify_stability(lengths, total_slots=20_000)
         assert verdict == INCONCLUSIVE
 
 
