@@ -17,7 +17,7 @@ from . import qbd, reports, simulate, verify
 from .errors import AlohaError
 from .model import AccessProbabilities, ArrivalRates, DominanceMode, ProtocolKind
 from .stability import priority_boundary, ra_boundary, td_boundary, union_region_contains
-from .sweep import sweep as run_sweep
+from .sweep import grid, sweep as run_sweep
 
 _SCHEMES = {"priority": priority_boundary, "ra": ra_boundary, "td": td_boundary}
 _KINDS = {
@@ -119,11 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aq.set_defaults(func=cmd_analyze_qbd)
 
     v = commands.add_parser("verify", help="run a cross-validation suite")
-    v.add_argument(
-        "--suite",
-        choices=("ds1", "qbd", "ds3", "containment", "all"),
-        default="all",
-    )
+    v.add_argument("--suite", choices=(*verify.SUITES, "all"), default="all")
     _add_output_flags(v)
     v.set_defaults(func=cmd_verify)
 
@@ -132,22 +128,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_boundary(args: argparse.Namespace) -> int:
     fn = _SCHEMES[args.scheme]
-    n = round(1.0 / args.step)
-    rows = [[i / n, fn(i / n)] for i in range(n + 1)]
+    rows = [[l1, fn(l1)] for l1 in grid(args.step).tolist()]
     _write(reports.emit_table(["lambda1", "lambda2"], rows, args.format), args.out)
     return 0
 
 
 def cmd_region(args: argparse.Namespace) -> int:
     p = AccessProbabilities(args.p1, args.p2)
-    n = round(1.0 / args.lambda_step)
+    rates = grid(args.lambda_step)[1:-1].tolist()
     rows = []
-    for i in range(1, n):
-        for j in range(1, n):
-            verdict = union_region_contains(p, ArrivalRates(i / n, j / n))
-            rows.append(
-                [i / n, j / n, verdict.stable, verdict.binding or ""]
-            )
+    for l1 in rates:
+        for l2 in rates:
+            verdict = union_region_contains(p, ArrivalRates(l1, l2))
+            rows.append([l1, l2, verdict.stable, verdict.binding or ""])
     _write(
         reports.emit_table(["lambda1", "lambda2", "stable", "binding"], rows, args.format),
         args.out,

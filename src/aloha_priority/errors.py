@@ -16,10 +16,6 @@ class UnstableParameterError(AlohaError):
 class NoConvergenceError(AlohaError):
     """Fixed-point iteration hit the iteration cap before reaching tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class SingularBlockError(AlohaError):
     """A matrix block that must be inverted is singular."""

@@ -43,9 +43,6 @@ class TruncatedChain:
     matching the orientation used by the QBD blocks.
     """
 
-    mode: DominanceMode
-    p: AccessProbabilities
-    arrival_rate: float
     k_max: int
     matrix: np.ndarray = field(repr=False)
 
@@ -77,16 +74,9 @@ def build_chain(
 
     tracked_q1 = mode is DominanceMode.DS1
     n = 2 * (k_max + 1)
-    chain = TruncatedChain(
-        mode=mode, p=p, arrival_rate=arrival_rate, k_max=k_max, matrix=np.zeros((n, n))
-    )
-
-    coin_weights = (
-        (True, arrival_rate),
-        (False, 1.0 - arrival_rate),
-    )
-    draw1_weights = ((True, p.p1), (False, 1.0 - p.p1))
-    draw2_weights = ((True, p.p2), (False, 1.0 - p.p2))
+    chain = TruncatedChain(k_max=k_max, matrix=np.zeros((n, n)))
+    # each coin (arrival, queue-1 draw, queue-2 draw) lands heads with its probability
+    coins = [((True, q), (False, 1.0 - q)) for q in (arrival_rate, p.p1, p.p2)]
 
     for level in range(k_max + 1):
         for phase in PHASES:
@@ -96,9 +86,7 @@ def build_chain(
                 if tracked_q1
                 else SystemState(0, level, phase)
             )
-            for (arr, w_a), (d1, w_1), (d2, w_2) in product(
-                coin_weights, draw1_weights, draw2_weights
-            ):
+            for (arr, w_a), (d1, w_1), (d2, w_2) in product(*coins):
                 weight = w_a * w_1 * w_2
                 if weight == 0.0:
                     continue

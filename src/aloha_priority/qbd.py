@@ -46,6 +46,9 @@ from .errors import (
 from .model import AccessProbabilities
 from .stability import ds2_mu1, ds3_mu2
 
+# the fixed point stops once no entry of R moves by this much in one step
+_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class QbdBlocks:
@@ -58,18 +61,6 @@ class QbdBlocks:
     a0: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
-
-
-@dataclass(frozen=True)
-class Ds2Stationary:
-    """Stationary law of the queue-2 chain: levels[k] = (pi_k, eps_k).
-
-    pi_k is the probability of level k in phase ON, eps_k in phase OFF;
-    eps_0 = 0 since level 0 cannot be in a reserved slot.
-    """
-
-    pi0: float
-    levels: np.ndarray
 
 
 def qbd_blocks(p: AccessProbabilities, l2: float) -> QbdBlocks:
@@ -117,18 +108,14 @@ def _inv2(m: np.ndarray, what: str) -> np.ndarray:
     )
 
 
-def solve_rate_matrix(
-    blocks: QbdBlocks,
-    tol: float = 1e-12,
-    max_iter: int = 10**6,
-) -> np.ndarray:
+def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     """Minimal nonnegative solution of A2 + (A1 - I) R + A0 R^2 = 0.
 
     Plain fixed-point iteration R <- (I - A1)^{-1} (A2 + A0 R^2) starting
     from R = 0.  The iterates increase entrywise and converge linearly at
     rate sp(R); near the stability boundary that is slow but dependable,
     and the closed form is available as a cross-check.  Raises
-    NoConvergenceError (carrying the last update size) at the iteration cap.
+    NoConvergenceError at the iteration cap.
     """
     m = _inv2(np.eye(2) - blocks.a1, "I - A1")
     a0, a2 = blocks.a0, blocks.a2
@@ -137,11 +124,10 @@ def solve_rate_matrix(
         r_next = m @ (a2 + a0 @ (r @ r))
         delta = np.max(np.abs(r_next - r))
         r = r_next
-        if delta < tol:
+        if delta < _TOL:
             return r
     raise NoConvergenceError(
-        f"rate-matrix iteration did not reach tol={tol} in {max_iter} steps",
-        residual=delta,
+        f"rate-matrix iteration did not reach tol={_TOL} in {max_iter} steps"
     )
 
 
@@ -222,24 +208,32 @@ def ds2_pi0(p: AccessProbabilities, l2: float) -> float:
     return (p2 - l2 - p1 * p2 - l2 * p1 * p2) / ((1.0 - l2) * (1.0 - p1) * p2)
 
 
-def ds2_stationary(p: AccessProbabilities, l2: float, k_max: int) -> Ds2Stationary:
-    """Matrix-geometric stationary law up to level k_max: v_k = R^k v_0.
-
-    v_0 = (pi_0, 0); the full sequence sums to (I - R)^{-1} v_0, whose entry
-    total is 1 when the chain is stable.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+def _ds2_law(p: AccessProbabilities, l2: float) -> tuple[float, np.ndarray]:
+    """(pi_0, R) of the queue-2 chain; raises where no stationary law exists."""
     pi0 = ds2_pi0(p, l2)
     r = rate_matrix_closed_form(p, l2)
     if spectral_radius(r) >= 1.0:
         raise UnstableParameterError("sp(R) >= 1; no stationary law")
+    return pi0, r
+
+
+def ds2_stationary(p: AccessProbabilities, l2: float, k_max: int) -> np.ndarray:
+    """Matrix-geometric stationary law up to level k_max: v_k = R^k v_0.
+
+    Row k of the returned (k_max + 1, 2) array is v_k = (pi_k, eps_k), the
+    probability of level k in phase ON and OFF; v_0 = (pi_0, 0), since level
+    0 cannot be in a reserved slot.  The full sequence sums to
+    (I - R)^{-1} v_0, whose entry total is 1 when the chain is stable.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    pi0, r = _ds2_law(p, l2)
     levels = np.empty((k_max + 1, 2))
     v = np.array([pi0, 0.0])
     for k in range(k_max + 1):
         levels[k] = v
         v = r @ v
-    return Ds2Stationary(pi0=pi0, levels=levels)
+    return levels
 
 
 def ds2_service_rate_q1(p: AccessProbabilities, l2: float) -> float:
@@ -260,10 +254,7 @@ def ds2_service_rate_q1_series(p: AccessProbabilities, l2: float) -> float:
 
         mu1 = p1 (1 - l2 p2) pi_0 + sum_{k>=1} [p1 (1 - p2) pi_k + eps_k].
     """
-    pi0 = ds2_pi0(p, l2)
-    r = rate_matrix_closed_form(p, l2)
-    if spectral_radius(r) >= 1.0:
-        raise UnstableParameterError("sp(R) >= 1; no stationary law")
+    pi0, r = _ds2_law(p, l2)
     tail = _inv2(np.eye(2) - r, "I - R") @ np.array([pi0, 0.0]) - np.array([pi0, 0.0])
     weights = np.array([p.p1 * (1.0 - p.p2), 1.0])
     return p.p1 * (1.0 - l2 * p.p2) * pi0 + float(weights @ tail)

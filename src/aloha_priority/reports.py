@@ -57,12 +57,7 @@ def table_to_json(columns: list[str], rows: list[list[Any]]) -> str:
 
 
 def report_to_csv(report: dict[str, Any]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["field", "value"])
-    for key, value in report.items():
-        writer.writerow([key, _render(value)])
-    return buf.getvalue()
+    return table_to_csv(["field", "value"], list(report.items()))
 
 
 def report_to_json(report: dict[str, Any]) -> str:

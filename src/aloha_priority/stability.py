@@ -222,6 +222,12 @@ def union_region_contains(p: AccessProbabilities, l: ArrivalRates) -> RegionVerd
     return RegionVerdict(stable=False, binding=f"ds1.{v1.binding},ds2.{v2.binding}")
 
 
+def _require_unit_rate(l1: float) -> None:
+    """The envelopes are defined for l1 in [0, 1] only."""
+    if not 0.0 <= l1 <= 1.0:
+        raise ValueError(f"l1 must lie in [0, 1], got {l1!r}")
+
+
 def priority_boundary(l1: float) -> float:
     """Upper boundary of the feedback-priority stability region, optimised over p.
 
@@ -229,8 +235,7 @@ def priority_boundary(l1: float) -> float:
     then (1 - l1)^2 / (4 l1).  The two branches join with matching value and
     slope.  Defined on [0, 1] by continuity.
     """
-    if not 0.0 <= l1 <= 1.0:
-        raise ValueError(f"l1 must lie in [0, 1], got {l1!r}")
+    _require_unit_rate(l1)
     if l1 <= 1.0 / 3.0:
         return 1.0 - 2.0 * l1
     return (1.0 - l1) ** 2 / (4.0 * l1)
@@ -247,13 +252,11 @@ def optimal_p2(l1: float) -> float:
 
 def ra_boundary(l1: float) -> float:
     """Envelope of conventional random access without feedback priority."""
-    if not 0.0 <= l1 <= 1.0:
-        raise ValueError(f"l1 must lie in [0, 1], got {l1!r}")
+    _require_unit_rate(l1)
     return (1.0 - l1**0.5) ** 2
 
 
 def td_boundary(l1: float) -> float:
     """Time-division outer bound: the two rates share the channel perfectly."""
-    if not 0.0 <= l1 <= 1.0:
-        raise ValueError(f"l1 must lie in [0, 1], got {l1!r}")
+    _require_unit_rate(l1)
     return 1.0 - l1

@@ -46,7 +46,6 @@ class RegionDataset:
     carry no probe and are excluded.
     """
 
-    p_step: float
     lambda_step: float
     lambda1: np.ndarray
     priority_numeric: np.ndarray
@@ -69,7 +68,8 @@ class EnvelopeComparison:
     knee_lambda1: float  # second-difference spike of the numeric envelope
 
 
-def _grid(step: float) -> np.ndarray:
+def grid(step: float) -> np.ndarray:
+    """The points 0, 1/n, ..., 1 for n = 1 / step, each the double i / n."""
     n = round(1.0 / step)
     if n < 2 or abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step {step!r} must divide 1 evenly")
@@ -107,8 +107,8 @@ def sweep(p_step: float = 0.01, lambda_step: float = 0.005) -> RegionDataset:
     """Envelope dataset over l1 in (0, 1) at the given grid resolutions."""
     if not 0.0 < p_step <= 0.1 or not 0.0 < lambda_step <= 0.1:
         raise ValueError("steps must lie in (0, 0.1]")
-    p_grid = _grid(p_step)
-    lambda1 = _grid(lambda_step)[1:-1]
+    p_grid = grid(p_step)
+    lambda1 = grid(lambda_step)[1:-1]
 
     numeric = np.empty_like(lambda1)
     a_p1 = np.empty_like(lambda1)
@@ -133,7 +133,6 @@ def sweep(p_step: float = 0.01, lambda_step: float = 0.005) -> RegionDataset:
     samples = np.array(rows) if rows else np.empty((0, 5))
 
     return RegionDataset(
-        p_step=p_step,
         lambda_step=lambda_step,
         lambda1=lambda1,
         priority_numeric=numeric,

@@ -28,8 +28,11 @@ class CheckResult:
     passed: bool
 
 
-def _check(name: str, value: float, threshold: float) -> CheckResult:
-    return CheckResult(name, float(value), float(threshold), bool(value < threshold))
+def _check(name: str, value: float, threshold: float, passed: bool | None = None) -> CheckResult:
+    """One check row; unless told otherwise it passes when value < threshold."""
+    if passed is None:
+        passed = value < threshold
+    return CheckResult(name, float(value), float(threshold), bool(passed))
 
 
 def ds1_analytic_vector(p: AccessProbabilities, l1: float, k_max: int) -> np.ndarray:
@@ -43,36 +46,30 @@ def ds1_analytic_vector(p: AccessProbabilities, l1: float, k_max: int) -> np.nda
 
 def ds2_analytic_vector(p: AccessProbabilities, l2: float, k_max: int) -> np.ndarray:
     """The matrix-geometric DS2 law on the same grid."""
-    return qbd.ds2_stationary(p, l2, k_max).levels.ravel()
+    return qbd.ds2_stationary(p, l2, k_max).ravel()
 
 
-def _analytic_vector(
-    mode: DominanceMode, p: AccessProbabilities, rate: float, k_max: int
-) -> np.ndarray:
-    if mode is DominanceMode.DS1:
-        return ds1_analytic_vector(p, rate, k_max)
-    return ds2_analytic_vector(p, rate, k_max)
+_ANALYTIC_VECTOR = {DominanceMode.DS1: ds1_analytic_vector, DominanceMode.DS2: ds2_analytic_vector}
 
 
 def oracle_tv(mode: DominanceMode, p: AccessProbabilities, rate: float, k_max: int = 200) -> float:
     """Total variation between the truncated oracle and the closed form."""
     chain = oracle.build_chain(mode, p, rate, k_max)
     pi = oracle.stationary(chain)
-    return oracle.total_variation(pi, _analytic_vector(mode, p, rate, k_max))
+    return oracle.total_variation(pi, _ANALYTIC_VECTOR[mode](p, rate, k_max))
 
 
-def local_balance_residual(
-    mode: DominanceMode, p: AccessProbabilities, rate: float, k_max: int = 30
-) -> float:
+def local_balance_residual(mode: DominanceMode, p: AccessProbabilities, rate: float) -> float:
     """Stationarity residual of the closed form against the enumerated kernel.
 
-    Levels within two of the truncation cap are skipped: their inflow is
-    distorted by the clamp, while every lower level sees exactly the infinite
-    chain's dynamics, so the closed form must satisfy those equations to
-    floating-point accuracy.
+    The kernel is truncated at level 30.  Levels within two of that cap are
+    skipped: their inflow is distorted by the clamp, while every lower level
+    sees exactly the infinite chain's dynamics, so the closed form must
+    satisfy those equations to floating-point accuracy.
     """
+    k_max = 30
     chain = oracle.build_chain(mode, p, rate, k_max)
-    analytic = _analytic_vector(mode, p, rate, k_max)
+    analytic = _ANALYTIC_VECTOR[mode](p, rate, k_max)
     residual = chain.matrix @ analytic - analytic
     return float(np.max(np.abs(residual[: 2 * (k_max - 1)])))
 
@@ -141,24 +138,21 @@ def suite_qbd() -> list[CheckResult]:
         _check("qbd R-balance residual (0.05 grid)", max_balance, 1e-10),
         _check("qbd solver vs closed form (0.05 grid)", max_solver, 1e-8),
         _check("qbd sp vs closed-form sp (0.05 grid)", max_sp, 1e-10),
-        CheckResult("qbd stability equivalence", float(equivalence_ok), 1.0, equivalence_ok),
+        _check("qbd stability equivalence", equivalence_ok, 1.0, equivalence_ok),
     ]
 
     for p1, p2, l2 in [(0.5, 0.5, 0.1), (0.3, 0.8, 0.2), (0.2, 0.9, 0.3)]:
         p = AccessProbabilities(p1, p2)
         tag = f"p=({p1},{p2}),l2={l2}"
-        stat = qbd.ds2_stationary(p, l2, 60)
-        pi_on = stat.levels[:, 0]
-        eps = stat.levels[:, 1]
+        levels = qbd.ds2_stationary(p, l2, 60)
+        pi_on, eps = levels[:, 0], levels[:, 1]
         lhs = (1.0 - l2) * (1.0 - p1) * p2 * pi_on[1:]
         rhs = l2 * (1.0 - p2 + p1 * p2) * pi_on[:-1] + l2 * eps[:-1]
         checks.append(
             _check(f"qbd level-cut balance {tag}", float(np.max(np.abs(lhs - rhs))), 1e-10)
         )
         r = qbd.rate_matrix_closed_form(p, l2)
-        total = float(
-            np.ones(2) @ np.linalg.solve(np.eye(2) - r, np.array([stat.pi0, 0.0]))
-        )
+        total = float(np.ones(2) @ np.linalg.solve(np.eye(2) - r, levels[0]))
         checks.append(_check(f"qbd normalization {tag}", abs(total - 1.0), 1e-10))
         checks.append(
             _check(f"qbd oracle tv {tag}", oracle_tv(DominanceMode.DS2, p, l2), 1e-8)
@@ -173,7 +167,11 @@ def suite_qbd() -> list[CheckResult]:
     return checks
 
 
-def suite_ds3(horizon: int = 200_000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def suite_ds3() -> list[CheckResult]:
+    """Simulated DS3 laws against the closed forms, 200k slots at the default seed.
+
+    The occupancy bound is 3 batch standard errors; the two rates get 4.
+    """
     checks = []
     for p1, p2 in [(0.5, 0.5), (0.7, 0.3), (0.9, 0.8)]:
         p = AccessProbabilities(p1, p2)
@@ -183,66 +181,45 @@ def suite_ds3(horizon: int = 200_000, seed: int = DEFAULT_SEED) -> list[CheckRes
                 mode=DominanceMode.DS3,
                 p=p,
                 l=ArrivalRates(0.5, 0.5),  # arrivals are irrelevant when saturated
-                horizon=horizon,
-                seed=seed,
+                horizon=200_000,
+                seed=DEFAULT_SEED,
             )
         )
         ss = ds3_steady_state(p)
         tag = f"p=({p1},{p2})"
-        checks.append(
-            _check(
-                f"ds3 reserved-phase occupancy vs closed form {tag} (3 se)",
-                abs(metrics.backoff_occupancy - ss.pi_reserved),
-                3.0 * metrics.occupancy_stderr,
+        for law, measured, closed, stderr, multiple in (
+            ("reserved-phase occupancy", metrics.backoff_occupancy, ss.pi_reserved,
+             metrics.occupancy_stderr, 3),
+            ("mu1", metrics.mu[0], ss.mu1, metrics.mu_stderr[0], 4),
+            ("mu2", metrics.mu[1], ss.mu2, metrics.mu_stderr[1], 4),
+        ):
+            checks.append(
+                _check(
+                    f"ds3 {law} vs closed form {tag} ({multiple} se)",
+                    abs(measured - closed),
+                    multiple * stderr,
+                )
             )
-        )
-        checks.append(
-            _check(
-                f"ds3 mu1 vs closed form {tag} (4 se)",
-                abs(metrics.mu[0] - ss.mu1),
-                4.0 * metrics.mu_stderr[0],
-            )
-        )
-        checks.append(
-            _check(
-                f"ds3 mu2 vs closed form {tag} (4 se)",
-                abs(metrics.mu[1] - ss.mu2),
-                4.0 * metrics.mu_stderr[1],
-            )
-        )
     return checks
 
 
 def suite_containment() -> list[CheckResult]:
     dataset = run_sweep()
     cmp = compare_envelopes(dataset)
-    checks = [
+    above_ra = cmp.min_margin_closed_over_ra
+    below_td = cmp.min_margin_td_over_closed
+    all_stable = bool(np.all(dataset.samples[:, 4] == 1.0))
+    return [
         _check("containment numeric vs closed-form envelope", cmp.max_abs_deviation, 0.02),
-        CheckResult(
-            "containment closed-form envelope above ra",
-            cmp.min_margin_closed_over_ra,
-            0.0,
-            cmp.min_margin_closed_over_ra > 0.0,
-        ),
-        CheckResult(
-            "containment closed-form envelope below td",
-            cmp.min_margin_td_over_closed,
-            0.0,
-            cmp.min_margin_td_over_closed > 0.0,
-        ),
+        _check("containment closed-form envelope above ra", above_ra, 0.0, above_ra > 0.0),
+        _check("containment closed-form envelope below td", below_td, 0.0, below_td > 0.0),
         _check(
             "containment knee near 1/3",
             abs(cmp.knee_lambda1 - 1.0 / 3.0),
             2.0 * dataset.lambda_step + 1e-12,
         ),
-        CheckResult(
-            "containment sweep samples all stable",
-            float(np.all(dataset.samples[:, 4] == 1.0)),
-            1.0,
-            bool(np.all(dataset.samples[:, 4] == 1.0)),
-        ),
+        _check("containment sweep samples all stable", all_stable, 1.0, all_stable),
     ]
-    return checks
 
 
 SUITES = {

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from helpers import parse_csv_report, parse_csv_table, parse_json_report, parse_json_table
@@ -13,6 +17,7 @@ from aloha_priority.stability import union_region_contains
 from aloha_priority.verify import CheckResult
 
 HALF = AccessProbabilities(0.5, 0.5)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(capsys, argv):
@@ -273,6 +278,7 @@ class TestExitCodes:
             assert err.startswith("rejected:")
 
 
+_QBD = "analyze qbd --p1 {} --p2 {} --l2 {} --format {}"
 _SIM = "simulate --kind {} --mode {} --p1 0.5 --p2 0.5 --l1 0.15 --l2 0.1 --slots 30000 --format {}"
 
 
@@ -281,7 +287,8 @@ class TestClosedFormBytes:
     # closed-form arithmetic only, so a moved byte means a region clause or
     # envelope changed its arithmetic.  The simulate commands run at the
     # default seed, so a moved byte means a statistic, a verdict or the report
-    # layout changed.
+    # layout changed.  The analyze qbd and verify commands pin the rate-matrix
+    # report and every verify check row, value and threshold included.
     GOLDEN = [
         ("region --p1 0 --p2 0 --lambda-step 0.05",
          "bb5e01bc535919a73ada7413775b6ad07201570657242413c6d6e758ad498ddb"),
@@ -346,6 +353,44 @@ class TestClosedFormBytes:
         # too short for batch standard errors: the csv writes nan
         ("simulate --p1 0.5 --p2 0.5 --l1 0.2 --l2 0.2 --slots 50",
          "2751f8e928b005ab576f6980d58a308e680a32957f11d51796e53b04b3085d00"),
+        # the rate-matrix report, at a plain point, at p1 = 0, at p2 = 1 and
+        # next to the p1 = 1 degeneracy
+        (_QBD.format("0.5", "0.5", "0.1", "csv"),
+         "4c8032b95a6344c80d31cbe080415abb9d1ff246a33bf07b659643474400d4df"),
+        (_QBD.format("0.3", "0.8", "0.2", "csv"),
+         "c8189e47adc1619c857f527d34f7c30898bbb727aba137eff9417b64374388b9"),
+        (_QBD.format("0", "0.5", "0.1", "csv"),
+         "ef02529ea89f1a698e18030fda47cb16d8cc6810a676a0fd4604d25efb2417a1"),
+        (_QBD.format("0.5", "1", "0.1", "csv"),
+         "00b4404a493aa312e94ab56d04775dbcf5cebb8ab4256b6fa4f951919239ddf2"),
+        (_QBD.format("0.999999", "1", "1e-9", "csv"),
+         "b65e25e0e97781682751fa48f499db3de0101a8d847da9a04a28ba2a0c38a9bd"),
+        (_QBD.format("0.5", "0.5", "0.1", "json"),
+         "d02c469ff5dae2ef93208e33dddbaa4071ff5996aef66d9b0d2c1a1accc72116"),
+        (_QBD.format("0.3", "0.8", "0.2", "json"),
+         "0a3d09ca66bfdede1925332f53e8fba7df338049e10dd633c25b95ff3cd71dea"),
+        (_QBD.format("0", "0.5", "0.1", "json"),
+         "425eb76f1d2301f6e49998736b1ef4260daea38e4ef8ce90e952ea433c602eaa"),
+        (_QBD.format("0.5", "1", "0.1", "json"),
+         "ea12bbb92333587cfd16c0d462f178e84fc42b26867a51a8c9a1b8c96cb82db5"),
+        (_QBD.format("0.999999", "1", "1e-9", "json"),
+         "00a5aa70b51faf729eb2f26d841b0689d1e2348fb0854087ed801b824545a3fb"),
+    ]
+
+    # The ds1 and qbd suites solve the oracle chain with LAPACK, whose last
+    # bits depend on the BLAS thread count, so the verify commands run in a
+    # child process with one BLAS thread (as perfbench/golden.json does).
+    VERIFY = [
+        ("verify --suite ds1",
+         "adf9c64b7c220fcedc6cfc317440386bf3edb99e615f9e9ab98fd4e126bb4c5b"),
+        ("verify --suite qbd",
+         "d64d909ebc8d5a29399cfc25e0ceb5c3cc5ef227345c34b2b6d749be9e571731"),
+        ("verify --suite ds3",
+         "d9edb14c214782c854d34163650815c9778e657dc9ca8226c53a0eee3da4896f"),
+        ("verify --suite containment",
+         "dd29383af35d93556bce05efb1cb6cb43df54a45fcd56ec856f3116373cb70c5"),
+        ("verify --suite ds1 --format json",
+         "4a009ae015d2a47a938d272eeafdc4a7f7391b21d15bc27966e68ee27e5c22fc"),
     ]
 
     @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
@@ -353,6 +398,17 @@ class TestClosedFormBytes:
         code, out, _ = _run(capsys, command.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command,digest", VERIFY, ids=[c for c, _ in VERIFY])
+    def test_verify_bytes_pinned(self, command, digest):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "aloha_priority.cli", *command.split()],
+            capture_output=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert hashlib.sha256(done.stdout).hexdigest() == digest
 
 
 class TestOutFlag:

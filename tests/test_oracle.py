@@ -124,8 +124,8 @@ class TestStationary:
             law = ds2_stationary(p, l2, k_max)
             analytic = np.zeros_like(x)
             for k in range(k_max + 1):
-                analytic[chain.index(k, Phase.NORMAL)] = law.levels[k, 0]
-                analytic[chain.index(k, Phase.BACKOFF)] = law.levels[k, 1]
+                analytic[chain.index(k, Phase.NORMAL)] = law[k, 0]
+                analytic[chain.index(k, Phase.BACKOFF)] = law[k, 1]
             assert total_variation(x, analytic) < 1e-8
 
     def test_total_variation(self):

@@ -169,8 +169,8 @@ class TestStationaryLaw:
 
     def test_stationary_reference_levels(self):
         stat = ds2_stationary(HALF, 0.1, 5)
-        assert_allclose(stat.levels[0], [5.0 / 9.0, 0.0], rtol=1e-14)
-        assert_allclose(stat.levels[1], [5.0 / 27.0, 1.0 / 18.0], rtol=1e-13)
+        assert_allclose(stat[0], [5.0 / 9.0, 0.0], rtol=1e-14)
+        assert_allclose(stat[1], [5.0 / 27.0, 1.0 / 18.0], rtol=1e-13)
 
     def test_normalization(self):
         rng = np.random.default_rng(233)
@@ -185,14 +185,14 @@ class TestStationaryLaw:
         rng = np.random.default_rng(239)
         for p, l2 in _stable_grid(rng, 30):
             stat = ds2_stationary(p, l2, 40)
-            pi_on, eps = stat.levels[:, 0], stat.levels[:, 1]
+            pi_on, eps = stat[:, 0], stat[:, 1]
             down = (1.0 - l2) * (1.0 - p.p1) * p.p2 * pi_on[1:]
             up = l2 * (1.0 - p.p2 + p.p1 * p.p2) * pi_on[:-1] + l2 * eps[:-1]
             assert np.max(np.abs(down - up)) < 1e-10
 
     def test_off_phase_empty_level_zero(self):
         stat = ds2_stationary(HALF, 0.1, 10)
-        assert stat.levels[0, 1] == 0.0
+        assert stat[0, 1] == 0.0
 
 
 class TestServiceRate:

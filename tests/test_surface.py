@@ -1,12 +1,20 @@
-"""Every public function or method of the package has a user outside the tests.
+"""Every public function of the package has a user outside the tests, and
+every defaulted parameter has a caller that sets it.
 
 A public name that nothing in ``src/``, ``perfbench/`` or the README uses is
 either dead code or a test-only helper, which belongs in ``tests/helpers.py``.
 Code counts as a use where it loads the name or reads it as an attribute;
 docstrings, comments, the definition itself and an ``import`` re-export do
 not.  Any mention in the README counts, since that is the documented library
-surface.  Matching is by bare name, so the check can only miss an unused
-function, never flag a used one.
+surface.
+
+A parameter with a default that no call in ``src/``, ``perfbench/`` or
+``tests/`` passes, by position or by keyword, is a knob nobody turns: it
+belongs in the body as a constant.  A call that spreads ``*args`` or
+``**kwargs`` counts as passing everything.
+
+Matching is by bare name (a class name stands for its ``__init__``), so both
+checks can only miss an unused function or parameter, never flag a used one.
 """
 
 import ast
@@ -53,3 +61,64 @@ def test_every_public_function_is_used_outside_tests():
     used = _names_used_in_code() | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     unused = [qualified for qualified, name in _public_functions() if name not in used]
     assert unused == []
+
+
+def _defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
+    """(qualified name, callee name, parameter, call position) for every
+    parameter with a default; the position is None for a keyword-only one."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {fn: None for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                owner.update({fn: cls for fn in cls.body if isinstance(fn, ast.FunctionDef)})
+        for fn, cls in owner.items():
+            qualified = ".".join(n for n in (path.stem, cls and cls.name, fn.name) if n)
+            callee = cls.name if cls and fn.name == "__init__" else fn.name
+            # self or cls is never written at the call
+            positional = (fn.args.posonlyargs + fn.args.args)[1 if cls else 0 :]
+            first = len(positional) - len(fn.args.defaults)
+            for index, arg in enumerate(positional[first:], start=first):
+                found.append((qualified, callee, arg.arg, index))
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    found.append((qualified, callee, arg.arg, None))
+    return found
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    calls: dict[str, list[ast.Call]] = {}
+    callers = [PACKAGE, ROOT / "perfbench", ROOT / "tests"]
+    for path in [p for folder in callers for p in folder.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    spread = any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    )
+    by_keyword = any(k.arg == parameter for k in call.keywords)
+    by_position = position is not None and len(call.args) > position
+    return spread or by_keyword or by_position
+
+
+def test_knob_walker_sees_the_package():
+    found = {(qualified, parameter) for qualified, _, parameter, _ in _defaulted_parameters()}
+    assert ("qbd.solve_rate_matrix", "max_iter") in found
+    assert ("sweep.sweep", "lambda_step") in found
+    assert ("cli.main", "argv") in found
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    calls = _calls_by_name()
+    dead = [
+        f"{qualified}({parameter})"
+        for qualified, callee, parameter, position in _defaulted_parameters()
+        if not any(_passes(call, parameter, position) for call in calls.get(callee, []))
+    ]
+    assert dead == []
