@@ -9,6 +9,7 @@ against Monte Carlo simulation.
 
 from .errors import (
     AlohaError,
+    ComplexSpectrumError,
     DegenerateParameterError,
     NoConvergenceError,
     SingularBlockError,

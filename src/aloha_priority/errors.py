@@ -17,6 +17,10 @@ class NoConvergenceError(AlohaError):
     """Fixed-point iteration hit the iteration cap before reaching tolerance."""
 
 
+class ComplexSpectrumError(AlohaError):
+    """A 2x2 matrix has complex eigenvalues, so it is no nonnegative matrix."""
+
+
 class SingularBlockError(AlohaError):
     """A matrix block that must be inverted is singular."""
 

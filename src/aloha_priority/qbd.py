@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ComplexSpectrumError,
     DegenerateParameterError,
     NoConvergenceError,
     SingularBlockError,
@@ -157,15 +158,17 @@ def rate_matrix_closed_form(p: AccessProbabilities, l2: float) -> np.ndarray:
 def spectral_radius(r: np.ndarray) -> float:
     """Largest eigenvalue modulus of a 2x2 matrix via the trace/det quadratic.
 
-    For a nonnegative R the discriminant is nonnegative, so both eigenvalues
-    are real and no complex arithmetic is needed.
+    For a nonnegative R the discriminant (r00 - r11)^2 + 4 r01 r10 is
+    nonnegative, so both eigenvalues are real and no complex arithmetic is
+    needed; a negative one raises ComplexSpectrumError.
     """
     tr = r[0, 0] + r[1, 1]
     det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
     disc = tr * tr - 4.0 * det
     if disc < 0.0:
-        # not reachable for nonnegative matrices; guard against misuse
-        return float(np.max(np.abs(np.linalg.eigvals(r))))
+        raise ComplexSpectrumError(
+            f"complex eigenvalues (discriminant {disc}); not a nonnegative matrix"
+        )
     root = disc**0.5
     return max(abs(tr + root), abs(tr - root)) / 2.0
 

@@ -1,12 +1,25 @@
 """Slot-by-slot Monte Carlo simulation of the two-queue system.
 
-A run drives :func:`aloha_priority.model.advance_slot` with pre-drawn coins
-from four independent generator streams (queue-1 arrivals, queue-2 arrivals,
-queue-1 access, queue-2 access), all spawned deterministically from the
-config seed.  Separate streams mean that two configs differing only in the
-dominance mode consume identical coin sequences, which makes the pathwise
-dominance of the saturated systems directly observable in tests: slot for
-slot, a dominant system's queues are at least as long as the original's.
+A run drives the slot dynamics of :func:`aloha_priority.model.advance_slot`
+with pre-drawn coins from four independent generator streams (queue-1
+arrivals, queue-2 arrivals, queue-1 access, queue-2 access), all spawned
+deterministically from the config seed.  Separate streams mean that two
+configs differing only in the dominance mode consume identical coin
+sequences, which makes the pathwise dominance of the saturated systems
+directly observable in tests: slot for slot, a dominant system's queues are
+at least as long as the original's.
+
+A slot's effect depends on the queue lengths only through whether each
+buffer is empty at the start of the slot, so the run does not call
+``advance_slot`` once per slot.  It calls it once for each of 128 keys
+
+    phase << 6 | nz1 << 5 | nz2 << 4 | d2 << 3 | d1 << 2 | a2 << 1 | a1
+
+(phase at the start of the slot, buffer i nonempty, access coin d_i, arrival
+coin a_i), on buffers of length nz1 and nz2, and records each slot's effect
+(change of each length, next phase, outcome) in a table.  The per-slot loop
+then only looks up the key of each slot and carries the two lengths; the
+trajectory arrays are read off the keys afterwards.
 
 Every reported statistic is computed over the post-warmup window.  Standard
 errors come from batch means (100 batches) rather than the naive iid formula
@@ -150,6 +163,25 @@ def _verdict(lengths: np.ndarray, slope: float, total_slots: int) -> str:
     return INCONCLUSIVE
 
 
+def _slot_table(
+    kind: ProtocolKind, mode: DominanceMode
+) -> list[tuple[int, int, int, int]]:
+    """(change of q1, change of q2, next phase, outcome) for each slot key.
+
+    Entry ``key`` is ``advance_slot`` applied to buffers of length nz1 and
+    nz2 in the key's phase, with the key's arrival and access coins.
+    """
+    table = []
+    for key in range(128):
+        state = SystemState(key >> 5 & 1, key >> 4 & 1, Phase(key >> 6))
+        arrivals = (bool(key & 1), bool(key & 2))
+        draws = (bool(key & 4), bool(key & 8))
+        after, outcome = advance_slot(state, kind, mode, arrivals, draws)
+        dq1, dq2 = after.q1_len - state.q1_len, after.q2_len - state.q2_len
+        table.append((dq1, dq2, int(after.phase), int(outcome)))
+    return table
+
+
 def run_trajectory(config: SimulationConfig) -> Trajectory:
     """Simulate the full horizon from an empty initial state."""
     n = config.horizon
@@ -157,33 +189,39 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
         np.random.default_rng(child)
         for child in np.random.SeedSequence(config.seed).spawn(4)
     ]
-    arr1 = (streams[0].random(n) < config.l.l1).tolist()
-    arr2 = (streams[1].random(n) < config.l.l2).tolist()
-    acc1 = (streams[2].random(n) < config.p.p1).tolist()
-    acc2 = (streams[3].random(n) < config.p.p2).tolist()
+    coins = [
+        (streams[0].random(n) < config.l.l1).view(np.uint8),
+        (streams[1].random(n) < config.l.l2).view(np.uint8),
+        (streams[2].random(n) < config.p.p1).view(np.uint8),
+        (streams[3].random(n) < config.p.p2).view(np.uint8),
+    ]
+    codes = coins[0] | coins[1] << 1 | coins[2] << 2 | coins[3] << 3
 
-    q1 = np.empty(n, dtype=np.int64)
-    q2 = np.empty(n, dtype=np.int64)
-    phase_start = np.empty(n, dtype=np.int8)
-    outcome = np.empty(n, dtype=np.int8)
+    table = _slot_table(config.kind, config.mode)
+    step = [(dq1, dq2, phase << 6) for dq1, dq2, phase, _ in table]
+    keys = bytearray(n)
+    q1 = q2 = start = 0
+    for t, code in enumerate(codes.tobytes()):
+        key = start | code
+        if q1:
+            key |= 0b100000
+        if q2:
+            key |= 0b010000
+        keys[t] = key
+        dq1, dq2, start = step[key]
+        q1 += dq1
+        q2 += dq2
 
-    state = SystemState(0, 0, Phase.NORMAL)
-    kind, mode = config.kind, config.mode
-    for t in range(n):
-        phase_start[t] = int(state.phase)
-        state, out = advance_slot(
-            state, kind, mode, (arr1[t], arr2[t]), (acc1[t], acc2[t])
-        )
-        q1[t] = state.q1_len
-        q2[t] = state.q2_len
-        outcome[t] = int(out)
-
-    arr1 = np.asarray(arr1)
-    arr2 = np.asarray(arr2)
-    busy1 = np.concatenate(([0], q1[:-1])) + arr1 > 0
-    busy2 = np.concatenate(([0], q2[:-1])) + arr2 > 0
+    keys = np.frombuffer(keys, dtype=np.uint8)
+    delta1, delta2, _, outcome = np.array(table, dtype=np.int8).T
     return Trajectory(
-        q1=q1, q2=q2, phase_start=phase_start, outcome=outcome, busy1=busy1, busy2=busy2
+        q1=np.cumsum(delta1[keys], dtype=np.int64),
+        q2=np.cumsum(delta2[keys], dtype=np.int64),
+        phase_start=(keys >> 6).astype(np.int8),
+        outcome=outcome[keys],
+        # a packet at access time: the buffer was nonempty or one arrived
+        busy1=(keys & 0b100001) != 0,
+        busy2=(keys & 0b010010) != 0,
     )
 
 

@@ -69,10 +69,16 @@ class EnvelopeComparison:
 
 
 def grid(step: float) -> np.ndarray:
-    """The points 0, 1/n, ..., 1 for n = 1 / step, each the double i / n."""
+    """The points 0, 1/n, ..., 1 for n = 1 / step, each the double i / n.
+
+    A step must lie in (0, 0.1] and divide 1 evenly; otherwise ValueError
+    names the rule the step breaks.
+    """
+    if not 0.0 < step <= 0.1:
+        raise ValueError("not in (0, 0.1]")
     n = round(1.0 / step)
-    if n < 2 or abs(n * step - 1.0) > 1e-9:
-        raise ValueError(f"step {step!r} must divide 1 evenly")
+    if abs(n * step - 1.0) > 1e-9:
+        raise ValueError("must divide 1 evenly")
     return np.arange(n + 1) / n
 
 
@@ -105,8 +111,6 @@ def envelope_at(l1: float, p1_grid: np.ndarray, p2_grid: np.ndarray):
 
 def sweep(p_step: float = 0.01, lambda_step: float = 0.005) -> RegionDataset:
     """Envelope dataset over l1 in (0, 1) at the given grid resolutions."""
-    if not 0.0 < p_step <= 0.1 or not 0.0 < lambda_step <= 0.1:
-        raise ValueError("steps must lie in (0, 0.1]")
     p_grid = grid(p_step)
     lambda1 = grid(lambda_step)[1:-1]
 

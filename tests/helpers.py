@@ -1,10 +1,11 @@
-"""Readers for the emitted reports, a QBD matrix builder and a verdict
-shortcut, used only by tests.
+"""Readers for the emitted reports, a QBD matrix builder, a verdict
+shortcut and a reference simulator, used only by tests.
 
 The parsers invert :mod:`aloha_priority.reports` so tests can assert on
 emitted values; ``assemble`` lays the QBD blocks out as a truncated
 block-tridiagonal matrix for comparison with the enumerated oracle kernel;
-``classify_stability`` runs the simulator's drift verdict on a bare trajectory.
+``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
+``reference_trajectory`` replays a run with one ``advance_slot`` call per slot.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from typing import Any
 
 import numpy as np
 
+from aloha_priority.model import Phase, SystemState, advance_slot
 from aloha_priority.qbd import QbdBlocks
-from aloha_priority.simulate import _slope, _verdict
+from aloha_priority.simulate import SimulationConfig, Trajectory, _slope, _verdict
 
 
 def _coerce(text: str) -> Any:
@@ -82,3 +84,44 @@ def assemble(blocks: QbdBlocks, n_levels: int) -> np.ndarray:
         if k + 1 < n_levels:
             t[r + 2 : r + 4, r : r + 2] = blocks.a2
     return t
+
+
+def reference_trajectory(config: SimulationConfig) -> Trajectory:
+    """``simulate.run_trajectory`` as one ``advance_slot`` call per slot.
+
+    The same four coin streams, the same dtypes; the table-driven simulator
+    must match it array for array.
+    """
+    n = config.horizon
+    streams = [
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(config.seed).spawn(4)
+    ]
+    arr1 = (streams[0].random(n) < config.l.l1).tolist()
+    arr2 = (streams[1].random(n) < config.l.l2).tolist()
+    acc1 = (streams[2].random(n) < config.p.p1).tolist()
+    acc2 = (streams[3].random(n) < config.p.p2).tolist()
+
+    q1 = np.empty(n, dtype=np.int64)
+    q2 = np.empty(n, dtype=np.int64)
+    phase_start = np.empty(n, dtype=np.int8)
+    outcome = np.empty(n, dtype=np.int8)
+
+    state = SystemState(0, 0, Phase.NORMAL)
+    kind, mode = config.kind, config.mode
+    for t in range(n):
+        phase_start[t] = int(state.phase)
+        state, out = advance_slot(
+            state, kind, mode, (arr1[t], arr2[t]), (acc1[t], acc2[t])
+        )
+        q1[t] = state.q1_len
+        q2[t] = state.q2_len
+        outcome[t] = int(out)
+
+    arr1 = np.asarray(arr1)
+    arr2 = np.asarray(arr2)
+    busy1 = np.concatenate(([0], q1[:-1])) + arr1 > 0
+    busy2 = np.concatenate(([0], q2[:-1])) + arr2 > 0
+    return Trajectory(
+        q1=q1, q2=q2, phase_start=phase_start, outcome=outcome, busy1=busy1, busy2=busy2
+    )

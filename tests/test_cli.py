@@ -250,6 +250,27 @@ class TestExitCodes:
         assert _run(capsys, ["simulate", "--p1", "0.5", "--p2", "0.5",
                              "--l1", "1.5", "--l2", "0.1"])[0] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boundary", "--scheme", "priority", "--step"],
+            ["region", "--p1", "0.5", "--p2", "0.5", "--lambda-step"],
+            ["sweep", "--lambda-step", "0.1", "--p-step"],
+            ["sweep", "--p-step", "0.1", "--lambda-step"],
+        ],
+    )
+    def test_step_messages(self, capsys, argv):
+        flag = argv[-1]
+        for text, message in (
+            ("0", "step 0 not in (0, 0.1]"),
+            ("0.2", "step 0.2 not in (0, 0.1]"),
+            ("0.03", "step 0.03 must divide 1 evenly"),
+            ("abc", "invalid _step value: 'abc'"),
+        ):
+            code, _, err = _run(capsys, argv + [text])
+            assert code == 1
+            assert err.endswith(f"error: argument {flag}: {message}\n")
+
     def test_config_error_is_usage_error(self, capsys):
         code, _, err = _run(
             capsys,

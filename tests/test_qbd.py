@@ -6,6 +6,7 @@ from helpers import assemble
 from numpy.testing import assert_allclose
 
 from aloha_priority.errors import (
+    ComplexSpectrumError,
     DegenerateParameterError,
     NoConvergenceError,
     SingularBlockError,
@@ -125,6 +126,11 @@ class TestSpectralRadius:
         sp = spectral_radius_closed_form(HALF, 0.1)
         assert_allclose(sp, 0.457613871580016, rtol=1e-12)
         assert_allclose(spectral_radius(rate_matrix_closed_form(HALF, 0.1)), sp, atol=1e-15)
+
+    def test_complex_eigenvalues_raise(self):
+        # a rotation-like matrix: eigenvalues 0.5 +- 0.5i, no real radius route
+        with pytest.raises(ComplexSpectrumError):
+            spectral_radius(np.array([[0.5, -0.5], [0.5, 0.5]]))
 
     def test_boundary_witness(self):
         # l2 = 0.2 sits exactly on the queue-2 bound at p=(0.5,0.5)

@@ -1,21 +1,31 @@
-"""Monte Carlo runner: determinism, references, verdicts, dominance coupling."""
+"""Monte Carlo runner: determinism, references, verdicts, dominance coupling,
+and the table-driven kernel against one ``advance_slot`` call per slot."""
+
+import dataclasses
 
 import numpy as np
 import pytest
-from helpers import classify_stability
+from helpers import classify_stability, reference_trajectory
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aloha_priority.model import (
     AccessProbabilities,
     ArrivalRates,
     DominanceMode,
+    Phase,
     ProtocolKind,
     SlotOutcome,
+    SystemState,
+    advance_slot,
 )
 from aloha_priority.simulate import (
     INCONCLUSIVE,
     STABLE,
     UNSTABLE,
     SimulationConfig,
+    Trajectory,
+    _slot_table,
     run,
     run_trajectory,
 )
@@ -166,3 +176,84 @@ class TestDominanceCoupling:
         }
         assert np.all(trajs[DominanceMode.DS1].q1 >= trajs[DominanceMode.NONE].q1)
         assert np.all(trajs[DominanceMode.DS2].q2 >= trajs[DominanceMode.NONE].q2)
+
+
+def _assert_same_trajectory(got, expected):
+    for field in dataclasses.fields(Trajectory):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        assert a.dtype == b.dtype, field.name
+        assert np.array_equal(a, b), field.name
+
+
+_UNIT = st.floats(0.0, 1.0)
+_RATE = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestKernelEquality:
+    # the last two points drive a saturated queue with an empty buffer, where
+    # a success is a dummy that removes nothing
+    @pytest.mark.parametrize(
+        "p, l",
+        [((0.6, 0.4), (0.25, 0.3)), ((1.0, 0.01), (0.995, 0.5)), ((0.0, 1.0), (0.3, 0.3))],
+    )
+    @pytest.mark.parametrize("mode", list(DominanceMode))
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_matches_advance_slot_reference(self, kind, mode, p, l):
+        config = _config(
+            kind=kind,
+            mode=mode,
+            p=AccessProbabilities(*p),
+            l=ArrivalRates(*l),
+            horizon=20_000,
+        )
+        _assert_same_trajectory(run_trajectory(config), reference_trajectory(config))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(ProtocolKind),
+        mode=st.sampled_from(DominanceMode),
+        p1=_UNIT,
+        p2=_UNIT,
+        l1=_RATE,
+        l2=_RATE,
+        horizon=st.integers(2, 3_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_configs_match_reference(
+        self, kind, mode, p1, p2, l1, l2, horizon, seed
+    ):
+        config = _config(
+            kind=kind,
+            mode=mode,
+            p=AccessProbabilities(p1, p2),
+            l=ArrivalRates(l1, l2),
+            horizon=horizon,
+            seed=seed,
+        )
+        _assert_same_trajectory(run_trajectory(config), reference_trajectory(config))
+
+
+class TestSlotTable:
+    @pytest.mark.parametrize("mode", list(DominanceMode))
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_only_buffer_emptiness_matters(self, kind, mode):
+        # each key's entry is what advance_slot does to buffers of any
+        # nonempty length in place of length 1
+        table = _slot_table(kind, mode)
+        assert len(table) == 128
+        for key, entry in enumerate(table):
+            phase = Phase(key >> 6)
+            arrivals = (bool(key & 1), bool(key & 2))
+            draws = (bool(key & 4), bool(key & 8))
+            for length in (1, 2, 7):
+                q1 = length * (key >> 5 & 1)
+                q2 = length * (key >> 4 & 1)
+                after, outcome = advance_slot(
+                    SystemState(q1, q2, phase), kind, mode, arrivals, draws
+                )
+                assert (
+                    after.q1_len - q1,
+                    after.q2_len - q2,
+                    after.phase,
+                    outcome,
+                ) == entry, (key, length)

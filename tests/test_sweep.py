@@ -11,7 +11,7 @@ from aloha_priority.stability import (
     td_boundary,
     union_region_contains,
 )
-from aloha_priority.sweep import compare_envelopes, envelope_at, sweep
+from aloha_priority.sweep import compare_envelopes, envelope_at, grid, sweep
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,13 @@ class TestSweep:
         positive = dataset.priority_numeric > 0.0
         assert_allclose(samples[:, 0], dataset.lambda1[positive], rtol=1e-15)
         assert np.all(samples[:, 1] < dataset.priority_numeric[positive])
+
+    def test_grid_step_rule(self):
+        assert np.array_equal(grid(0.05), np.arange(21) / 20)
+        for step, rule in ((0.0, "not in"), (0.2, "not in"), (float("nan"), "not in"),
+                           (0.03, "must divide")):
+            with pytest.raises(ValueError, match=rule):
+                grid(step)
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
