@@ -18,7 +18,7 @@ class NoConvergenceError(AlohaError):
 
 
 class ComplexSpectrumError(AlohaError):
-    """A 2x2 matrix has complex eigenvalues, so it is no nonnegative matrix."""
+    """A 2x2 matrix has complex eigenvalues, which no nonnegative matrix has."""
 
 
 class SingularBlockError(AlohaError):

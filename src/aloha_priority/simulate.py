@@ -189,13 +189,10 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
         np.random.default_rng(child)
         for child in np.random.SeedSequence(config.seed).spawn(4)
     ]
-    coins = [
-        (streams[0].random(n) < config.l.l1).view(np.uint8),
-        (streams[1].random(n) < config.l.l2).view(np.uint8),
-        (streams[2].random(n) < config.p.p1).view(np.uint8),
-        (streams[3].random(n) < config.p.p2).view(np.uint8),
-    ]
-    codes = coins[0] | coins[1] << 1 | coins[2] << 2 | coins[3] << 3
+    rates = (config.l.l1, config.l.l2, config.p.p1, config.p.p2)
+    codes = np.zeros(n, dtype=np.uint8)
+    for bit, (stream, rate) in enumerate(zip(streams, rates)):
+        codes |= (stream.random(n) < rate).view(np.uint8) << bit
 
     table = _slot_table(config.kind, config.mode)
     step = [(dq1, dq2, phase << 6) for dq1, dq2, phase, _ in table]
