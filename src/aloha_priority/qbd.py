@@ -25,6 +25,13 @@ explicit elementwise form, and its spectral radius an explicit scalar form;
 the solver, the closed form, and the two radius routes are all exposed so
 they can be played against each other.
 
+The solver works on stacks: blocks of shape (..., 2, 2), as ``stack_blocks``
+builds them, give R of the same shape, one point per 2x2 slice.  A single
+point is a stack of one.  Each slice keeps its own stopping rule, and its R
+is bit for bit the one a lone solve of that point returns: numpy runs every
+2x2 slice of a stacked ``matmul`` through the same BLAS call as a lone 2x2
+``matmul``, and the remaining steps are elementwise.
+
 Level 0 has no reserved-phase state in practice: OFF follows a collision,
 which needs queue 2 nonempty, and the resolving slot serves queue 1.  The
 block B therefore only populates the ON column; the (unreachable) 0-OFF
@@ -33,6 +40,7 @@ column of the assembled matrix is deficient and carries no stationary mass.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,13 +108,27 @@ def qbd_blocks(p: AccessProbabilities, l2: float) -> QbdBlocks:
     return QbdBlocks(b=b, a0=a0, a1=a1, a2=a2)
 
 
-def _inv2(m: np.ndarray, what: str) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) <= 1e-14:
-        raise SingularBlockError(f"{what} is singular (det = {det})")
-    return (
-        np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+def stack_blocks(points: Sequence[QbdBlocks]) -> QbdBlocks:
+    """The blocks of many points as one QbdBlocks of (n, 2, 2) arrays."""
+    return QbdBlocks(
+        b=np.stack([x.b for x in points]),
+        a0=np.stack([x.a0 for x in points]),
+        a1=np.stack([x.a1 for x in points]),
+        a2=np.stack([x.a2 for x in points]),
     )
+
+
+def _inv2(m: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of every 2x2 slice of m, shape (..., 2, 2), by its adjugate."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    singular = np.abs(det) <= 1e-14
+    if np.any(singular):
+        first = np.ravel(det)[np.argmax(singular)]
+        raise SingularBlockError(f"{what} is singular (det = {first})")
+    adjugate = np.stack(
+        [m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1
+    ).reshape(m.shape)
+    return adjugate / det[..., None, None]
 
 
 def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
@@ -115,21 +137,39 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     Plain fixed-point iteration R <- (I - A1)^{-1} (A2 + A0 R^2) starting
     from R = 0.  The iterates increase entrywise and converge linearly at
     rate sp(R); near the stability boundary that is slow but dependable,
-    and the closed form is available as a cross-check.  Raises
-    NoConvergenceError at the iteration cap.
+    and the closed form is available as a cross-check.
+
+    The block arrays have shape (..., 2, 2) and R comes back in that shape.
+    Every slice stops on its own once no entry moves by _TOL in one step;
+    it is then stored and leaves the stack, so a slice's R does not depend
+    on its neighbours.  Each slice meets the same matmul and elementwise
+    arithmetic as in a lone solve, so its R is bit for bit the same.  Raises
+    NoConvergenceError if any slice is still moving after max_iter steps.
     """
-    m = _inv2(np.eye(2) - blocks.a1, "I - A1")
-    a0, a2 = blocks.a0, blocks.a2
-    r = np.zeros((2, 2))
+    shape = blocks.a1.shape
+    m = _inv2(np.eye(2) - blocks.a1, "I - A1").reshape(-1, 2, 2)
+    a0 = blocks.a0.reshape(-1, 2, 2)
+    a2 = blocks.a2.reshape(-1, 2, 2)
+    solved = np.empty_like(m)
+    active = np.arange(len(m))
+    r = np.zeros_like(m)
     for _ in range(max_iter):
+        if not active.size:
+            break
         r_next = m @ (a2 + a0 @ (r @ r))
-        delta = np.max(np.abs(r_next - r))
+        delta = abs(r_next - r).max(axis=(1, 2))
         r = r_next
-        if delta < _TOL:
-            return r
-    raise NoConvergenceError(
-        f"rate-matrix iteration did not reach tol={_TOL} in {max_iter} steps"
-    )
+        if delta.min() < _TOL:
+            done = delta < _TOL
+            solved[active[done]] = r[done]
+            moving = ~done
+            active, m, a0, a2, r = active[moving], m[moving], a0[moving], a2[moving], r[moving]
+    if active.size:
+        raise NoConvergenceError(
+            f"rate-matrix iteration did not reach tol={_TOL} in {max_iter} steps"
+            f" at {active.size} of {len(solved)} points"
+        )
+    return solved.reshape(shape)
 
 
 def balance_residual(blocks: QbdBlocks, r: np.ndarray) -> float:

@@ -1,9 +1,11 @@
-"""Readers for the emitted reports, a QBD matrix builder, a verdict
-shortcut and a reference simulator, used only by tests.
+"""Readers for the emitted reports, a QBD matrix builder, a reference
+rate-matrix solver, a verdict shortcut and a reference simulator, used only
+by tests.
 
 The parsers invert :mod:`aloha_priority.reports` so tests can assert on
 emitted values; ``assemble`` lays the QBD blocks out as a truncated
 block-tridiagonal matrix for comparison with the enumerated oracle kernel;
+``reference_rate_matrix`` solves one point at a time with 2x2 arithmetic;
 ``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
 ``reference_trajectory`` replays a run with one ``advance_slot`` call per slot.
 """
@@ -17,8 +19,9 @@ from typing import Any
 
 import numpy as np
 
+from aloha_priority.errors import NoConvergenceError, SingularBlockError
 from aloha_priority.model import Phase, SystemState, advance_slot
-from aloha_priority.qbd import QbdBlocks
+from aloha_priority.qbd import _TOL, QbdBlocks
 from aloha_priority.simulate import SimulationConfig, Trajectory, _slope, _verdict
 
 
@@ -84,6 +87,28 @@ def assemble(blocks: QbdBlocks, n_levels: int) -> np.ndarray:
         if k + 1 < n_levels:
             t[r + 2 : r + 4, r : r + 2] = blocks.a2
     return t
+
+
+def reference_rate_matrix(blocks: QbdBlocks) -> np.ndarray:
+    """``qbd.solve_rate_matrix`` for one point, as a loop over 2x2 matrices.
+
+    The same fixed point, stopping rule and inverse; the stacked solver must
+    match it slice for slice, bit for bit.
+    """
+    m = np.eye(2) - blocks.a1
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if abs(det) <= 1e-14:
+        raise SingularBlockError(f"I - A1 is singular (det = {det})")
+    m = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    a0, a2 = blocks.a0, blocks.a2
+    r = np.zeros((2, 2))
+    for _ in range(10**6):
+        r_next = m @ (a2 + a0 @ (r @ r))
+        delta = np.max(np.abs(r_next - r))
+        r = r_next
+        if delta < _TOL:
+            return r
+    raise NoConvergenceError(f"rate-matrix iteration did not reach tol={_TOL}")
 
 
 def reference_trajectory(config: SimulationConfig) -> Trajectory:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from helpers import assemble
+from helpers import assemble, reference_rate_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from aloha_priority.errors import (
@@ -23,7 +25,9 @@ from aloha_priority.qbd import (
     solve_rate_matrix,
     spectral_radius,
     spectral_radius_closed_form,
+    stack_blocks,
 )
+from aloha_priority.stability import ds3_mu2
 
 HALF = AccessProbabilities(0.5, 0.5)
 
@@ -76,10 +80,11 @@ class TestRateMatrix:
 
     def test_solver_matches_closed_form(self):
         rng = np.random.default_rng(223)
-        for p, l2 in _stable_grid(rng, 40):
+        points = _stable_grid(rng, 40)
+        solved = solve_rate_matrix(stack_blocks([qbd_blocks(p, l2) for p, l2 in points]))
+        for (p, l2), r_solved in zip(points, solved):
             r = rate_matrix_closed_form(p, l2)
-            solved = solve_rate_matrix(qbd_blocks(p, l2))
-            assert np.max(np.abs(solved - r)) < 1e-8
+            assert np.max(np.abs(r_solved - r)) < 1e-8
 
     def test_balance_equation(self):
         rng = np.random.default_rng(227)
@@ -119,6 +124,77 @@ class TestRateMatrix:
         blocks = qbd_blocks(AccessProbabilities(1.0, 0.5), 0.0)
         with pytest.raises(SingularBlockError):
             solve_rate_matrix(blocks)
+
+
+def _grid_blocks():
+    """Blocks of the 1450 stable points of the 0.05 grid that verify --suite qbd solves."""
+    n = 20
+    points = []
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            p = AccessProbabilities(i / n, j / n)
+            bound = ds3_mu2(p.p1, p.p2)
+            points.extend(qbd_blocks(p, k / n) for k in range(1, n) if k / n < bound - 1e-9)
+    return points
+
+
+# (p1, p2, l2 as a fraction of the queue-2 bound)
+_STABLE_POINT = st.tuples(
+    st.floats(0.05, 0.95), st.floats(0.05, 1.0), st.floats(0.05, 0.9)
+)
+
+
+class TestStackedSolver:
+    """The stacked solver against the one-point reference, bit for bit."""
+
+    def test_grid_stack_matches_reference(self):
+        points = _grid_blocks()
+        assert len(points) == 1450
+        solved = solve_rate_matrix(stack_blocks(points))
+        assert solved.shape == (1450, 2, 2)
+        for blocks, r in zip(points, solved):
+            assert np.array_equal(r, reference_rate_matrix(blocks))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 64), st.data())
+    def test_random_stacks_match_reference(self, size, data):
+        # distinct points, then repeats of them up to the stack size, shuffled
+        points = []
+        for p1, p2, fraction in data.draw(st.lists(_STABLE_POINT, min_size=1, max_size=size)):
+            p = AccessProbabilities(p1, p2)
+            points.append(qbd_blocks(p, fraction * ds3_mu2(p1, p2)))
+        repeats = size - len(points)
+        extra = data.draw(
+            st.lists(st.integers(0, len(points) - 1), min_size=repeats, max_size=repeats)
+        )
+        order = data.draw(st.permutations([*range(len(points)), *extra]))
+        solved = solve_rate_matrix(stack_blocks([points[i] for i in order]))
+        assert solved.shape == (size, 2, 2)
+        reference = [reference_rate_matrix(blocks) for blocks in points]
+        for i, r in zip(order, solved):
+            assert np.array_equal(r, reference[i])
+
+    def test_single_point_keeps_its_shape(self):
+        blocks = qbd_blocks(HALF, 0.1)
+        r = solve_rate_matrix(blocks)
+        assert r.shape == (2, 2)
+        assert np.array_equal(r, reference_rate_matrix(blocks))
+        one = solve_rate_matrix(stack_blocks([blocks]))
+        assert one.shape == (1, 2, 2)
+        assert np.array_equal(one[0], r)
+
+    def test_critical_member_does_not_converge(self):
+        stable = qbd_blocks(HALF, 0.1)
+        other = qbd_blocks(AccessProbabilities(0.3, 0.8), 0.2)
+        stack = stack_blocks([stable, qbd_blocks(HALF, 0.2), other, stable])
+        with pytest.raises(NoConvergenceError, match="at 1 of 4 points"):
+            solve_rate_matrix(stack, max_iter=20_000)
+
+    def test_singular_member_detected(self):
+        stable = qbd_blocks(HALF, 0.1)
+        singular = qbd_blocks(AccessProbabilities(1.0, 0.5), 0.0)
+        with pytest.raises(SingularBlockError, match="I - A1 is singular"):
+            solve_rate_matrix(stack_blocks([stable, singular, stable]))
 
 
 class TestSpectralRadius:
