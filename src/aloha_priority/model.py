@@ -24,8 +24,10 @@ coin draws, at least those of the original system, which is what makes its
 stability region a certified inner bound.
 
 The single transition function ``advance_slot`` takes the per-slot coin draws
-as arguments, so the Monte Carlo simulator and the exhaustive state
-enumeration used by the truncated-chain oracle share one kernel.
+as arguments.  A slot's effect depends on the queue lengths only through
+whether each buffer is empty at the start of the slot, so ``slot_table``
+tabulates ``advance_slot`` once per slot key, and the Monte Carlo simulator
+and the truncated-chain oracle both read that one table.
 """
 
 from __future__ import annotations
@@ -165,3 +167,28 @@ def advance_slot(
         phase = Phase.NORMAL
 
     return SystemState(q1, q2, phase), outcome
+
+
+def slot_table(
+    kind: ProtocolKind, mode: DominanceMode
+) -> list[tuple[int, int, int, int]]:
+    """(change of q1, change of q2, next phase, outcome) for each slot key.
+
+    There are 128 keys
+
+        phase << 6 | nz1 << 5 | nz2 << 4 | d2 << 3 | d1 << 2 | a2 << 1 | a1
+
+    (phase at the start of the slot, buffer i nonempty, access coin d_i,
+    arrival coin a_i).  Entry ``key`` is ``advance_slot`` applied to buffers
+    of length nz1 and nz2 in the key's phase, with the key's arrival and
+    access coins; any nonempty length in place of 1 gives the same changes.
+    """
+    table = []
+    for key in range(128):
+        state = SystemState(key >> 5 & 1, key >> 4 & 1, Phase(key >> 6))
+        arrivals = (bool(key & 1), bool(key & 2))
+        draws = (bool(key & 4), bool(key & 8))
+        after, outcome = advance_slot(state, kind, mode, arrivals, draws)
+        dq1, dq2 = after.q1_len - state.q1_len, after.q2_len - state.q2_len
+        table.append((dq1, dq2, int(after.phase), int(outcome)))
+    return table

@@ -2,16 +2,27 @@
 
 The closed forms in :mod:`aloha_priority.stability` and
 :mod:`aloha_priority.qbd` are verified against a route that shares no algebra
-with them: enumerate every coin combination through
-:func:`aloha_priority.model.advance_slot` to obtain the exact one-slot kernel
+with them: tabulate every coin combination through
+:func:`aloha_priority.model.advance_slot` (by way of
+:func:`aloha_priority.model.slot_table`) to obtain the exact one-slot kernel
 of the dominant system's single tracked queue, truncate at a level cap, and
 solve the stationary linear system densely.  Nothing here transcribes a
 transition probability; every entry is the weighted sum of slot outcomes.
+
+A slot sees the tracked level only through whether it is 0, so levels >= 1
+are homogeneous: one table entry per phase and coin combination serves all
+of them.  ``TestSlotTable`` checks that homogeneity on buffers of several
+lengths, and ``TestChainEquality`` checks the kernel, bit for bit, against
+one ``advance_slot`` call per level.
 
 Truncation closes the chain by clamping the destination level at the cap
 (phase preserved), so columns still sum to 1.  With a geometric tail of ratio
 rho the truncation error at the cap K is of order rho^K; K = 200 at
 rho <= 0.8 puts it far below every tolerance used in the tests.
+
+The kernel matrix is stored in Fortran order, because ``numpy.linalg.solve``
+passes LAPACK a column-major copy of its input; from C order that copy is a
+slow transposed one.
 """
 
 from __future__ import annotations
@@ -27,12 +38,8 @@ from .model import (
     DominanceMode,
     Phase,
     ProtocolKind,
-    SystemState,
-    advance_slot,
+    slot_table,
 )
-
-# (level, phase) state order: level-major, ON/normal phase first
-PHASES = (Phase.NORMAL, Phase.BACKOFF)
 
 
 @dataclass(frozen=True)
@@ -46,10 +53,14 @@ class TruncatedChain:
     k_max: int
     matrix: np.ndarray = field(repr=False)
 
-    def index(self, level: int, phase: Phase) -> int:
-        if not 0 <= level <= self.k_max:
+    def index(self, level, phase: Phase):
+        """Position of (level, phase): level-major, normal phase first.
+
+        ``level`` may be an integer array, which gives an array of positions.
+        """
+        if np.min(level) < 0 or np.max(level) > self.k_max:
             raise ValueError(f"level {level} outside [0, {self.k_max}]")
-        return 2 * level + (1 if phase is Phase.BACKOFF else 0)
+        return 2 * level + int(phase)
 
 
 def build_chain(
@@ -64,6 +75,15 @@ def build_chain(
     queue 2 (queue 1 saturated, arrival_rate = l2).  The untracked queue's
     buffer stays at 0 and its arrival coin at False; saturation makes its
     contention independent of that buffer.
+
+    The kernel is tabulated from ``advance_slot`` through ``slot_table``.
+    Levels >= 1 are homogeneous, so level 0 and the levels above it each
+    take one table entry per phase and coin combination, and one scatter
+    adds every level at once.  Combinations come in the same order at every
+    column, so each entry is the same floating-point sum as a level-by-level
+    enumeration (``TestChainEquality``; ``TestSlotTable`` checks the
+    homogeneity).  The matrix is stored in Fortran order, the layout
+    ``numpy.linalg.solve`` copies its input into before calling LAPACK.
     """
     if mode not in (DominanceMode.DS1, DominanceMode.DS2):
         raise ValueError("oracle supports the single-queue systems DS1 and DS2")
@@ -72,37 +92,36 @@ def build_chain(
     if not 0.0 < arrival_rate < 1.0:
         raise ValueError("arrival_rate must lie in (0, 1)")
 
-    tracked_q1 = mode is DominanceMode.DS1
     n = 2 * (k_max + 1)
-    chain = TruncatedChain(k_max=k_max, matrix=np.zeros((n, n)))
+    chain = TruncatedChain(k_max=k_max, matrix=np.zeros((n, n), order="F"))
+    table = slot_table(ProtocolKind.FEEDBACK_PRIORITY, mode)
+    # the tracked queue's bits in a slot key (buffer nonempty, arrival coin)
+    # and the place of its length change in a table entry
+    nz_bit, arr_bit, change = (5, 0, 0) if mode is DominanceMode.DS1 else (4, 1, 1)
     # each coin (arrival, queue-1 draw, queue-2 draw) lands heads with its probability
-    coins = [((True, q), (False, 1.0 - q)) for q in (arrival_rate, p.p1, p.p2)]
+    coins = [((1, q), (0, 1.0 - q)) for q in (arrival_rate, p.p1, p.p2)]
+    levels = np.arange(k_max + 1)
 
-    for level in range(k_max + 1):
-        for phase in PHASES:
-            j = chain.index(level, phase)
-            state = (
-                SystemState(level, 0, phase)
-                if tracked_q1
-                else SystemState(0, level, phase)
-            )
-            for (arr, w_a), (d1, w_1), (d2, w_2) in product(*coins):
-                weight = w_a * w_1 * w_2
-                if weight == 0.0:
-                    continue
-                arrivals = (arr, False) if tracked_q1 else (False, arr)
-                nxt, _ = advance_slot(
-                    state,
-                    ProtocolKind.FEEDBACK_PRIORITY,
-                    mode,
-                    arrivals,
-                    (d1, d2),
-                )
-                nxt_level = nxt.q1_len if tracked_q1 else nxt.q2_len
+    rows, cols, weights = [], [], []
+    for phase in Phase:
+        for (arr, w_a), (d1, w_1), (d2, w_2) in product(*coins):
+            weight = w_a * w_1 * w_2
+            if weight == 0.0:
+                continue
+            for nonempty, at in ((0, levels[:1]), (1, levels[1:])):
+                key = phase << 6 | nonempty << nz_bit | d2 << 3 | d1 << 2 | arr << arr_bit
+                entry = table[key]
                 # clamp at the cap, phase preserved
-                i = chain.index(min(nxt_level, k_max), nxt.phase)
-                chain.matrix[i, j] += weight
+                nxt = np.minimum(at + entry[change], k_max)
+                rows.append(chain.index(nxt, Phase(entry[2])))
+                cols.append(chain.index(at, phase))
+                weights.append(np.full(at.shape, weight))
 
+    np.add.at(
+        chain.matrix,
+        (np.concatenate(rows), np.concatenate(cols)),
+        np.concatenate(weights),
+    )
     return chain
 
 
@@ -113,10 +132,17 @@ def stationary(chain: TruncatedChain) -> np.ndarray:
     checks the residual ||T x - x|| < 1e-12.  States that are merely
     transient (an empty-queue reserved slot can be entered from nowhere)
     simply come out with probability 0.
+
+    T - I is formed in a Fortran-ordered copy of T, so the copy LAPACK gets
+    is a plain one and no identity matrix is allocated; subtracting 1 from
+    the diagonal in place leaves every other entry as T - 0.0 would, so the
+    solution does not depend on T's memory order.  ``chain.matrix`` is not
+    modified.
     """
     t = chain.matrix
     n = t.shape[0]
-    a = t - np.eye(n)
+    a = np.array(t, order="F")
+    a[np.diag_indices(n)] -= 1.0
     a[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0

@@ -11,15 +11,12 @@ at least as long as the original's.
 
 A slot's effect depends on the queue lengths only through whether each
 buffer is empty at the start of the slot, so the run does not call
-``advance_slot`` once per slot.  It calls it once for each of 128 keys
-
-    phase << 6 | nz1 << 5 | nz2 << 4 | d2 << 3 | d1 << 2 | a2 << 1 | a1
-
-(phase at the start of the slot, buffer i nonempty, access coin d_i, arrival
-coin a_i), on buffers of length nz1 and nz2, and records each slot's effect
-(change of each length, next phase, outcome) in a table.  The per-slot loop
-then only looks up the key of each slot and carries the two lengths; the
-trajectory arrays are read off the keys afterwards.
+``advance_slot`` once per slot.  It reads each slot's effect (change of each
+length, next phase, outcome) from the 128-entry
+:func:`aloha_priority.model.slot_table`, keyed by the start phase, which
+buffers are nonempty and the slot's four coins.  The per-slot loop only looks
+up the key of each slot and carries the two lengths; the trajectory arrays
+are read off the keys afterwards.
 
 Every reported statistic is computed over the post-warmup window.  Standard
 errors come from batch means (100 batches) rather than the naive iid formula
@@ -37,11 +34,9 @@ from .model import (
     AccessProbabilities,
     ArrivalRates,
     DominanceMode,
-    Phase,
     ProtocolKind,
     SlotOutcome,
-    SystemState,
-    advance_slot,
+    slot_table,
 )
 
 STABLE = "stable"
@@ -163,25 +158,6 @@ def _verdict(lengths: np.ndarray, slope: float, total_slots: int) -> str:
     return INCONCLUSIVE
 
 
-def _slot_table(
-    kind: ProtocolKind, mode: DominanceMode
-) -> list[tuple[int, int, int, int]]:
-    """(change of q1, change of q2, next phase, outcome) for each slot key.
-
-    Entry ``key`` is ``advance_slot`` applied to buffers of length nz1 and
-    nz2 in the key's phase, with the key's arrival and access coins.
-    """
-    table = []
-    for key in range(128):
-        state = SystemState(key >> 5 & 1, key >> 4 & 1, Phase(key >> 6))
-        arrivals = (bool(key & 1), bool(key & 2))
-        draws = (bool(key & 4), bool(key & 8))
-        after, outcome = advance_slot(state, kind, mode, arrivals, draws)
-        dq1, dq2 = after.q1_len - state.q1_len, after.q2_len - state.q2_len
-        table.append((dq1, dq2, int(after.phase), int(outcome)))
-    return table
-
-
 def run_trajectory(config: SimulationConfig) -> Trajectory:
     """Simulate the full horizon from an empty initial state."""
     n = config.horizon
@@ -194,7 +170,7 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
     for bit, (stream, rate) in enumerate(zip(streams, rates)):
         codes |= (stream.random(n) < rate).view(np.uint8) << bit
 
-    table = _slot_table(config.kind, config.mode)
+    table = slot_table(config.kind, config.mode)
     step = [(dq1, dq2, phase << 6) for dq1, dq2, phase, _ in table]
     keys = bytearray(n)
     q1 = q2 = start = 0

@@ -7,7 +7,9 @@ emitted values; ``assemble`` lays the QBD blocks out as a truncated
 block-tridiagonal matrix for comparison with the enumerated oracle kernel;
 ``reference_rate_matrix`` solves one point at a time with 2x2 arithmetic;
 ``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
-``reference_trajectory`` replays a run with one ``advance_slot`` call per slot.
+``reference_trajectory`` replays a run with one ``advance_slot`` call per slot;
+``reference_chain`` builds the oracle kernel with one ``advance_slot`` call per
+level, phase and coin combination.
 """
 
 from __future__ import annotations
@@ -15,12 +17,21 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import product
 from typing import Any
 
 import numpy as np
 
 from aloha_priority.errors import NoConvergenceError, SingularBlockError
-from aloha_priority.model import Phase, SystemState, advance_slot
+from aloha_priority.model import (
+    AccessProbabilities,
+    DominanceMode,
+    Phase,
+    ProtocolKind,
+    SystemState,
+    advance_slot,
+)
+from aloha_priority.oracle import TruncatedChain
 from aloha_priority.qbd import _TOL, QbdBlocks
 from aloha_priority.simulate import SimulationConfig, Trajectory, _slope, _verdict
 
@@ -150,3 +161,47 @@ def reference_trajectory(config: SimulationConfig) -> Trajectory:
     return Trajectory(
         q1=q1, q2=q2, phase_start=phase_start, outcome=outcome, busy1=busy1, busy2=busy2
     )
+
+
+def reference_chain(
+    mode: DominanceMode, p: AccessProbabilities, arrival_rate: float, k_max: int
+) -> TruncatedChain:
+    """``oracle.build_chain`` as one ``advance_slot`` call per level, phase and
+    coin combination, into a C-ordered matrix.
+
+    Every level is enumerated on its own, so nothing assumes that levels
+    above 0 behave alike; the tabulated kernel must match it entry for entry,
+    bit for bit.
+    """
+    tracked_q1 = mode is DominanceMode.DS1
+    n = 2 * (k_max + 1)
+    chain = TruncatedChain(k_max=k_max, matrix=np.zeros((n, n)))
+    # each coin (arrival, queue-1 draw, queue-2 draw) lands heads with its probability
+    coins = [((True, q), (False, 1.0 - q)) for q in (arrival_rate, p.p1, p.p2)]
+
+    for level in range(k_max + 1):
+        for phase in (Phase.NORMAL, Phase.BACKOFF):
+            j = chain.index(level, phase)
+            state = (
+                SystemState(level, 0, phase)
+                if tracked_q1
+                else SystemState(0, level, phase)
+            )
+            for (arr, w_a), (d1, w_1), (d2, w_2) in product(*coins):
+                weight = w_a * w_1 * w_2
+                if weight == 0.0:
+                    continue
+                arrivals = (arr, False) if tracked_q1 else (False, arr)
+                nxt, _ = advance_slot(
+                    state,
+                    ProtocolKind.FEEDBACK_PRIORITY,
+                    mode,
+                    arrivals,
+                    (d1, d2),
+                )
+                nxt_level = nxt.q1_len if tracked_q1 else nxt.q2_len
+                # clamp at the cap, phase preserved
+                i = chain.index(min(nxt_level, k_max), nxt.phase)
+                chain.matrix[i, j] += weight
+
+    return chain

@@ -7,13 +7,21 @@ every result is passed through ``nsimplify`` before ``simplify`` decides
 whether it is identically zero.
 """
 
+import operator
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import sympy
 
 from aloha_priority import qbd
-from aloha_priority.stability import ds2_l2_limit, ds2_mu1, priority_boundary
+from aloha_priority.model import DominanceMode, Phase, ProtocolKind, slot_table
+from aloha_priority.stability import (
+    ds1_steady_state,
+    ds2_l2_limit,
+    ds2_mu1,
+    priority_boundary,
+)
 
 P1, P2, L1, L2, X = sympy.symbols("p1 p2 l1 l2 x")
 # qbd only reads p.p1 and p.p2, and AccessProbabilities would reject symbols
@@ -68,3 +76,69 @@ def test_envelope_branches_meet_at_one_third_in_value_and_slope():
     knee = sympy.Rational(1, 3)
     assert _is_zero((left - right).subs(L1, knee))
     assert _is_zero(sympy.diff(left - right, L1).subs(L1, knee))
+
+
+class _InRange:
+    """A sympy expression that answers every comparison with False.
+
+    ``ds1_steady_state`` guards its inputs with ``p1 == 0``, ``l1 p2 >= 1``
+    and ``rho >= 1``, which a symbol cannot decide; answered False, they let
+    the function return the stable law, its arithmetic kept symbolic.
+    """
+
+    def __init__(self, expr):
+        self.expr = expr
+
+    def __eq__(self, other):
+        return False
+
+    __ge__ = __eq__
+
+
+def _expr(value):
+    return value.expr if isinstance(value, _InRange) else value
+
+
+def _lift(op):
+    def forward(self, other):
+        return _InRange(op(self.expr, _expr(other)))
+
+    def reverse(self, other):
+        return _InRange(op(other, self.expr))
+
+    return forward, reverse
+
+
+for _name in ("add", "sub", "mul", "truediv", "pow"):
+    _forward, _reverse = _lift(getattr(operator, _name))
+    setattr(_InRange, f"__{_name}__", _forward)
+    setattr(_InRange, f"__r{_name}__", _reverse)
+
+
+def test_ds1_geometric_law_balances_the_tabulated_kernel():
+    # the law as ds1_steady_state computes it, at levels 0..4
+    p = SimpleNamespace(p1=_InRange(P1), p2=_InRange(P2))
+    law = ds1_steady_state(p, _InRange(L1))
+    mass = {}
+    for k in range(5):
+        mass[k, Phase.NORMAL] = _expr(law.pi(k))
+        mass[k, Phase.BACKOFF] = _expr(law.eps(k))
+
+    # one slot of the DS1 kernel from the slot table, with symbolic coin
+    # weights: the tracked queue 1's buffer is nonempty above level 0, and
+    # queue 2's buffer and arrival coin stay 0
+    table = slot_table(ProtocolKind.FEEDBACK_PRIORITY, DominanceMode.DS1)
+    coins = [((1, q), (0, 1 - q)) for q in (L1, P1, P2)]
+    inflow = dict.fromkeys(mass, 0)
+    for (level, phase), m in mass.items():
+        for (a1, w_a), (d1, w_1), (d2, w_2) in product(*coins):
+            key = phase << 6 | min(level, 1) << 5 | d2 << 3 | d1 << 2 | a1
+            dq1, _, next_phase, _ = table[key]
+            target = (level + dq1, Phase(next_phase))
+            if target in inflow:
+                inflow[target] += w_a * w_1 * w_2 * m
+
+    # levels 0..3 receive from levels 0..4 only, so their balance is complete
+    for k in range(4):
+        for phase in Phase:
+            assert _is_zero(inflow[k, phase] - mass[k, phase]), (k, phase)

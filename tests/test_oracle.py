@@ -1,8 +1,11 @@
-"""Truncated-chain oracle: kernel enumeration, stationary solve, cross-checks."""
+"""Truncated-chain oracle: kernel enumeration, stationary solve, cross-checks,
+and the tabulated kernel against one ``advance_slot`` call per level."""
 
 import numpy as np
 import pytest
-from helpers import assemble
+from helpers import assemble, reference_chain
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from aloha_priority.model import (
@@ -12,7 +15,12 @@ from aloha_priority.model import (
     Phase,
     ProtocolKind,
 )
-from aloha_priority.oracle import build_chain, stationary, total_variation
+from aloha_priority.oracle import (
+    TruncatedChain,
+    build_chain,
+    stationary,
+    total_variation,
+)
 from aloha_priority.qbd import ds2_stationary, qbd_blocks
 from aloha_priority.simulate import SimulationConfig, run_trajectory
 from aloha_priority.stability import ds1_steady_state
@@ -88,7 +96,55 @@ class TestKernel:
             chain.index(6, Phase.NORMAL)
 
 
+class TestChainEquality:
+    """The tabulated kernel is the per-level enumeration, bit for bit."""
+
+    @pytest.mark.parametrize("k_max", [2, 30, 200])
+    @pytest.mark.parametrize("p1,p2", [(0.5, 0.5), (1.0, 1.0), (0.0, 0.5), (0.999, 0.5)])
+    @pytest.mark.parametrize("mode", [DominanceMode.DS1, DominanceMode.DS2])
+    def test_matches_reference(self, mode, p1, p2, k_max):
+        p = AccessProbabilities(p1, p2)
+        chain = build_chain(mode, p, 0.15, k_max)
+        ref = reference_chain(mode, p, 0.15, k_max)
+        assert chain.matrix.dtype == ref.matrix.dtype
+        assert np.array_equal(chain.matrix, ref.matrix)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        mode=st.sampled_from([DominanceMode.DS1, DominanceMode.DS2]),
+        p1=st.integers(0, 20).map(lambda i: i / 20),
+        p2=st.integers(0, 20).map(lambda i: i / 20),
+        rate=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        k_max=st.integers(2, 60),
+    )
+    def test_matches_reference_property(self, mode, p1, p2, rate, k_max):
+        p = AccessProbabilities(p1, p2)
+        chain = build_chain(mode, p, rate, k_max)
+        ref = reference_chain(mode, p, rate, k_max)
+        assert chain.matrix.dtype == ref.matrix.dtype
+        assert np.array_equal(chain.matrix, ref.matrix)
+
+    @pytest.mark.parametrize("k_max", [200, 400])
+    @pytest.mark.parametrize("mode", [DominanceMode.DS1, DominanceMode.DS2])
+    def test_stationary_bits_match_reference(self, mode, k_max):
+        x = stationary(build_chain(mode, SKEW, 0.15, k_max))
+        assert np.array_equal(x, stationary(reference_chain(mode, SKEW, 0.15, k_max)))
+
+
 class TestStationary:
+    def test_leaves_the_kernel_unchanged(self):
+        chain = build_chain(DominanceMode.DS2, SKEW, 0.2, 40)
+        before = chain.matrix.copy()
+        stationary(chain)
+        assert np.array_equal(chain.matrix, before)
+
+    def test_memory_order_does_not_change_the_solution(self):
+        t = build_chain(DominanceMode.DS1, SKEW, 0.15, 60).matrix
+        c_order = TruncatedChain(k_max=60, matrix=np.ascontiguousarray(t))
+        f_order = TruncatedChain(k_max=60, matrix=np.asfortranarray(t))
+        assert c_order.matrix.flags.c_contiguous and f_order.matrix.flags.f_contiguous
+        assert np.array_equal(stationary(c_order), stationary(f_order))
+
     def test_distribution_properties(self):
         chain = build_chain(DominanceMode.DS1, SKEW, 0.15, 60)
         x = stationary(chain)

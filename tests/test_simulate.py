@@ -18,6 +18,7 @@ from aloha_priority.model import (
     SlotOutcome,
     SystemState,
     advance_slot,
+    slot_table,
 )
 from aloha_priority.simulate import (
     INCONCLUSIVE,
@@ -25,7 +26,6 @@ from aloha_priority.simulate import (
     UNSTABLE,
     SimulationConfig,
     Trajectory,
-    _slot_table,
     run,
     run_trajectory,
 )
@@ -239,7 +239,7 @@ class TestSlotTable:
     def test_only_buffer_emptiness_matters(self, kind, mode):
         # each key's entry is what advance_slot does to buffers of any
         # nonempty length in place of length 1
-        table = _slot_table(kind, mode)
+        table = slot_table(kind, mode)
         assert len(table) == 128
         for key, entry in enumerate(table):
             phase = Phase(key >> 6)
