@@ -201,10 +201,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze_qbd(args: argparse.Namespace) -> int:
     p = AccessProbabilities(args.p1, args.p2)
+    # rejects unstable and critical points before the solver can stall on them,
+    # and before the closed forms divide by (1 - l2)(1 - p1) p2, which stability
+    # keeps above 0
+    pi0 = qbd.ds2_pi0(p, args.l2)
     blocks = qbd.qbd_blocks(p, args.l2)
     r = qbd.rate_matrix_closed_form(p, args.l2)
-    # rejects unstable and critical points before the solver can stall on them
-    pi0 = qbd.ds2_pi0(p, args.l2)
     solved = qbd.solve_rate_matrix(blocks)
     report = {"p1": args.p1, "p2": args.p2, "l2": args.l2}
     for name, matrix in (

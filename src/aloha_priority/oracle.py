@@ -22,7 +22,9 @@ rho <= 0.8 puts it far below every tolerance used in the tests.
 
 The kernel matrix is stored in Fortran order, because ``numpy.linalg.solve``
 passes LAPACK a column-major copy of its input; from C order that copy is a
-slow transposed one.
+slow transposed one.  ``stationary`` forms its linear system in the kernel's
+own storage and restores the kernel exactly afterwards, so a solve peaks at
+two n x n arrays, the kernel and that copy (82 MB each at k_max = 1600).
 """
 
 from __future__ import annotations
@@ -133,23 +135,31 @@ def stationary(chain: TruncatedChain) -> np.ndarray:
     transient (an empty-queue reserved slot can be entered from nowhere)
     simply come out with probability 0.
 
-    T - I is formed in a Fortran-ordered copy of T, so the copy LAPACK gets
-    is a plain one and no identity matrix is allocated; subtracting 1 from
-    the diagonal in place leaves every other entry as T - 0.0 would, so the
-    solution does not depend on T's memory order.  ``chain.matrix`` is not
-    modified.
+    The system is formed in ``chain.matrix`` itself: its diagonal and last
+    row are saved, the diagonal lowered by 1 and the last row set to 1 in
+    place, and after the solve both are copied back from the saved values
+    (adding 1 back would not restore a small t exactly), so the kernel comes
+    back bit for bit, on error too.  The solve then holds two n x n arrays,
+    the kernel and the column-major copy ``numpy.linalg.solve`` hands LAPACK;
+    the system it sees is the same in either memory order.  The matrix must
+    therefore be writable; ``build_chain``'s always is.
     """
     t = chain.matrix
     n = t.shape[0]
-    a = np.array(t, order="F")
-    a[np.diag_indices(n)] -= 1.0
-    a[-1, :] = 1.0
+    diag = np.diag_indices(n)
+    saved_diag = t[diag]
+    saved_last = t[-1, :].copy()
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     try:
-        x = np.linalg.solve(a, rhs)
+        t[diag] -= 1.0
+        t[-1, :] = 1.0
+        x = np.linalg.solve(t, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"stationary solve failed: {exc}") from exc
+    finally:
+        t[diag] = saved_diag
+        t[-1, :] = saved_last
     residual = float(np.max(np.abs(t @ x - x)))
     if residual > 1e-12 or not np.isfinite(residual):
         raise SingularSystemError(

@@ -172,15 +172,16 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
 
     table = slot_table(config.kind, config.mode)
     step = [(dq1, dq2, phase << 6) for dq1, dq2, phase, _ in table]
-    keys = bytearray(n)
+    keys = bytearray()
+    append = keys.append
     q1 = q2 = start = 0
-    for t, code in enumerate(codes.tobytes()):
+    for code in codes.tobytes():
         key = start | code
         if q1:
             key |= 0b100000
         if q2:
             key |= 0b010000
-        keys[t] = key
+        append(key)
         dq1, dq2, start = step[key]
         q1 += dq1
         q2 += dq2

@@ -9,7 +9,8 @@ block-tridiagonal matrix for comparison with the enumerated oracle kernel;
 ``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
 ``reference_trajectory`` replays a run with one ``advance_slot`` call per slot;
 ``reference_chain`` builds the oracle kernel with one ``advance_slot`` call per
-level, phase and coin combination.
+level, phase and coin combination; ``reference_stationary`` solves the oracle's
+stationary system in a copy of the kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ from typing import Any
 
 import numpy as np
 
-from aloha_priority.errors import NoConvergenceError, SingularBlockError
+from aloha_priority.errors import (
+    NoConvergenceError,
+    SingularBlockError,
+    SingularSystemError,
+)
 from aloha_priority.model import (
     AccessProbabilities,
     DominanceMode,
@@ -205,3 +210,28 @@ def reference_chain(
                 chain.matrix[i, j] += weight
 
     return chain
+
+
+def reference_stationary(chain: TruncatedChain) -> np.ndarray:
+    """``oracle.stationary`` with T - I formed in a Fortran-ordered copy of T.
+
+    The same system, normalisation row and residual check; solving in the
+    kernel's own storage must return the same vector, bit for bit.
+    """
+    t = chain.matrix
+    n = t.shape[0]
+    a = np.array(t, order="F")
+    a[np.diag_indices(n)] -= 1.0
+    a[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"stationary solve failed: {exc}") from exc
+    residual = float(np.max(np.abs(t @ x - x)))
+    if residual > 1e-12 or not np.isfinite(residual):
+        raise SingularSystemError(
+            f"stationary residual {residual} exceeds 1e-12; chain ill conditioned"
+        )
+    return x

@@ -48,6 +48,31 @@ def test_closed_form_spectral_radius_is_an_eigenvalue_of_r():
     assert _is_zero(characteristic.subs(X, sp))
 
 
+def test_closed_form_spectral_radius_is_the_larger_root():
+    # sp(R) = (tr + sqrt(disc)) / 2 with disc = tr^2 - 4 det of the closed-form
+    # R: the rational part of spectral_radius_closed_form is tr / 2, its one
+    # square root squares to disc / 4 and carries a nonnegative coefficient
+    r = sympy.Matrix(qbd.rate_matrix_closed_form(SYMBOLIC_P, L2).tolist()).applyfunc(
+        sympy.nsimplify
+    )
+    tr, disc = r.trace(), r.trace() ** 2 - 4 * r.det()
+    sp = sympy.nsimplify(qbd.spectral_radius_closed_form(SYMBOLIC_P, L2))
+    (root,) = [a for a in sp.atoms(sympy.Pow) if a.exp == sympy.Rational(1, 2)]
+    linear = sp.subs(root, X)
+    coefficient = sympy.diff(linear, X)
+    assert _is_zero(sympy.diff(coefficient, X))
+    assert _is_zero(linear.subs(X, 0) - tr / 2)
+    assert _is_zero(coefficient**2 * root.base - disc / 4)
+
+    # the closed form's domain p1 in [0, 1), p2 in (0, 1], l2 in (0, 1), which
+    # holds the stable region, as the image of u, v >= 0 and w > 0
+    u, v = sympy.symbols("u v", nonnegative=True)
+    w = sympy.Symbol("w", positive=True)
+    domain = {P1: u / (1 + u), P2: 1 / (1 + v), L2: w / (1 + w)}
+    for expr in (coefficient, disc):
+        assert sympy.factor(sympy.simplify(expr.subs(domain))).is_nonnegative
+
+
 def test_ds2_clause_inverts():
     assert _is_zero(ds2_mu1(P1, ds2_l2_limit(P1, L1)) - L1)
 

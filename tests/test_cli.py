@@ -1,6 +1,8 @@
 """Command-line surface and serialization round-trips."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import pytest
 from helpers import parse_csv_report, parse_csv_table, parse_json_report, parse_json_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aloha_priority import qbd, reports
 from aloha_priority.cli import main
@@ -297,6 +301,39 @@ class TestExitCodes:
             code, _, err = _run(capsys, ["analyze", "qbd", "--p1", p1, "--p2", p2, "--l2", l2])
             assert code == 3
             assert err.startswith("rejected:")
+
+
+# probabilities and rates at and past the edges of their ranges, as typed
+_EDGES = st.sampled_from(["0", "1", "1e-300", repr(1 - 1e-16), "nan", "inf", "-0.0"])
+
+
+def _no_constant(name):
+    raise ValueError(f"json output holds {name}")
+
+
+class TestEdgeInputs:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(["qbd", "region", "simulate"]),
+        p1=_EDGES,
+        p2=_EDGES,
+        l1=_EDGES,
+        l2=_EDGES,
+    )
+    def test_edge_values_exit_cleanly(self, command, p1, p2, l1, l2):
+        argv = {
+            "qbd": ["analyze", "qbd", "--p1", p1, "--p2", p2, "--l2", l2],
+            "region": ["region", "--p1", p1, "--p2", p2, "--lambda-step", "0.1"],
+            "simulate": ["simulate", "--p1", p1, "--p2", p2, "--l1", l1, "--l2", l2,
+                         "--slots", "2000"],
+        }[command] + ["--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 3), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 _QBD = "analyze qbd --p1 {} --p2 {} --l2 {} --format {}"

@@ -1,13 +1,17 @@
 """Truncated-chain oracle: kernel enumeration, stationary solve, cross-checks,
-and the tabulated kernel against one ``advance_slot`` call per level."""
+the tabulated kernel against one ``advance_slot`` call per level, and the
+in-place solve against a solve in a copy of the kernel."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import assemble, reference_chain
+from helpers import assemble, reference_chain, reference_stationary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from aloha_priority.errors import SingularSystemError
 from aloha_priority.model import (
     AccessProbabilities,
     ArrivalRates,
@@ -144,6 +148,33 @@ class TestStationary:
         f_order = TruncatedChain(k_max=60, matrix=np.asfortranarray(t))
         assert c_order.matrix.flags.c_contiguous and f_order.matrix.flags.f_contiguous
         assert np.array_equal(stationary(c_order), stationary(f_order))
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("k_max", [200, 800])
+    @pytest.mark.parametrize("mode", [DominanceMode.DS1, DominanceMode.DS2])
+    def test_bits_match_the_copy_based_solve(self, mode, k_max, order):
+        t = build_chain(mode, SKEW, 0.15, k_max).matrix
+        chain = TruncatedChain(k_max=k_max, matrix=np.array(t, order=order))
+        expected = reference_stationary(chain)
+        assert np.array_equal(stationary(chain), expected)
+        assert np.array_equal(chain.matrix, t)
+
+    def test_allocates_no_copy_of_the_kernel(self):
+        chain = build_chain(DominanceMode.DS2, SKEW, 0.2, 400)
+        tracemalloc.start()
+        try:
+            stationary(chain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * chain.matrix.nbytes
+
+    def test_singular_chain_raises_and_leaves_the_kernel_unchanged(self):
+        chain = TruncatedChain(k_max=2, matrix=np.asfortranarray(np.eye(6)))
+        before = chain.matrix.copy()
+        with pytest.raises(SingularSystemError):
+            stationary(chain)
+        assert np.array_equal(chain.matrix, before)
 
     def test_distribution_properties(self):
         chain = build_chain(DominanceMode.DS1, SKEW, 0.15, 60)
