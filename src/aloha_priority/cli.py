@@ -201,9 +201,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze_qbd(args: argparse.Namespace) -> int:
     p = AccessProbabilities(args.p1, args.p2)
-    # rejects unstable and critical points before the solver can stall on them,
-    # and before the closed forms divide by (1 - l2)(1 - p1) p2, which stability
-    # keeps above 0
+    # rejects unstable and critical points before the solver can stall on them
     pi0 = qbd.ds2_pi0(p, args.l2)
     blocks = qbd.qbd_blocks(p, args.l2)
     r = qbd.rate_matrix_closed_form(p, args.l2)

@@ -47,13 +47,12 @@ import numpy as np
 
 from .errors import (
     ComplexSpectrumError,
-    DegenerateParameterError,
     NoConvergenceError,
     SingularBlockError,
     UnstableParameterError,
 )
 from .model import AccessProbabilities
-from .stability import ds2_mu1, ds3_mu2
+from .stability import divisor, ds2_mu1, ds3_mu2
 
 # the fixed point stops once no entry of R moves by this much in one step
 _TOL = 1e-12
@@ -178,14 +177,15 @@ def balance_residual(blocks: QbdBlocks, r: np.ndarray) -> float:
     return float(np.max(np.abs(residual)))
 
 
+def _down_rate(p: AccessProbabilities, l2: float) -> float:
+    """(1 - l2)(1 - p1) p2, A0's entry, which every DS2 closed form divides by."""
+    return divisor((1.0 - l2) * (1.0 - p.p1) * p.p2, "(1 - l2)(1 - p1) p2")
+
+
 def rate_matrix_closed_form(p: AccessProbabilities, l2: float) -> np.ndarray:
-    """Explicit elementwise R; undefined at p1 = 1 or p2 = 0."""
+    """Explicit elementwise R; undefined where ``_down_rate`` is 0."""
     p1, p2 = p.p1, p.p2
-    if p1 == 1.0 or p2 == 0.0:
-        raise DegenerateParameterError(
-            "closed-form R undefined at p1 = 1 or p2 = 0 (queue 2 never succeeds)"
-        )
-    d = (1.0 - l2) * (1.0 - p1) * p2
+    d = _down_rate(p, l2)
     r_off = l2 * p1 / (1.0 - p1)
     return np.array(
         [
@@ -216,10 +216,8 @@ def spectral_radius(r: np.ndarray) -> float:
 def spectral_radius_closed_form(p: AccessProbabilities, l2: float) -> float:
     """Explicit scalar form of sp(R); same degeneracies as the closed-form R."""
     p1, p2 = p.p1, p.p2
-    if p1 == 1.0 or p2 == 0.0:
-        raise DegenerateParameterError(
-            "closed-form sp(R) undefined at p1 = 1 or p2 = 0"
-        )
+    # den is twice _down_rate but cancels in floats (2.8e-17 at p1 = 1, l2 = 0.1)
+    _down_rate(p, l2)
     disc = (
         1.0
         - 2.0 * p2
@@ -231,24 +229,23 @@ def spectral_radius_closed_form(p: AccessProbabilities, l2: float) -> float:
     )
     num = l2 * (1.0 - p2 - l2 * p1 * p2 + 2.0 * p1 * p2 + disc**0.5)
     den = 2.0 * p2 * (1.0 - l2 - p1 + l2 * p1)
-    return num / den
+    return num / divisor(den, "2 p2 (1 - l2 - p1 + l2 p1)")
 
 
 def ds2_pi0(p: AccessProbabilities, l2: float) -> float:
     """Stationary probability of an empty queue 2 in phase ON.
 
     Exists iff l2 < mu2'' (``stability.ds3_mu2``); raises UnstableParameterError
-    otherwise (and DegenerateParameterError where that bound is identically
-    zero, at p1 = 1 or p2 = 0).
+    otherwise, and DegenerateParameterError first where ``_down_rate`` is 0
+    (p1 = 1 or p2 = 0 included, where that bound is identically zero).
     """
     p1, p2 = p.p1, p.p2
-    if p1 == 1.0 or p2 == 0.0:
-        raise DegenerateParameterError("queue 2 has no service at p1 = 1 or p2 = 0")
+    d = _down_rate(p, l2)
     if l2 >= ds3_mu2(p1, p2):
         raise UnstableParameterError(
             f"queue 2 unstable under saturated queue 1 at l2 = {l2}"
         )
-    return (p2 - l2 - p1 * p2 - l2 * p1 * p2) / ((1.0 - l2) * (1.0 - p1) * p2)
+    return (p2 - l2 - p1 * p2 - l2 * p1 * p2) / d
 
 
 def _ds2_law(p: AccessProbabilities, l2: float) -> tuple[float, np.ndarray]:

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterable
 from typing import Any
 
 
@@ -42,7 +43,7 @@ def _render(value: Any) -> Any:
     return value
 
 
-def table_to_csv(columns: list[str], rows: list[list[Any]]) -> str:
+def _csv(columns: list[str], rows: Iterable[Iterable[Any]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -51,30 +52,18 @@ def table_to_csv(columns: list[str], rows: list[list[Any]]) -> str:
     return buf.getvalue()
 
 
-def table_to_json(columns: list[str], rows: list[list[Any]]) -> str:
-    payload = {"columns": columns, "rows": [[_json(v) for v in row] for row in rows]}
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def report_to_csv(report: dict[str, Any]) -> str:
-    return table_to_csv(["field", "value"], list(report.items()))
-
-
-def report_to_json(report: dict[str, Any]) -> str:
-    return json.dumps({k: _json(v) for k, v in report.items()}, indent=2) + "\n"
-
-
 def emit_table(columns: list[str], rows: list[list[Any]], fmt: str) -> str:
     if fmt == "csv":
-        return table_to_csv(columns, rows)
+        return _csv(columns, rows)
     if fmt == "json":
-        return table_to_json(columns, rows)
+        payload = {"columns": columns, "rows": [[_json(v) for v in row] for row in rows]}
+        return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def emit_report(report: dict[str, Any], fmt: str) -> str:
     if fmt == "csv":
-        return report_to_csv(report)
+        return _csv(["field", "value"], report.items())
     if fmt == "json":
-        return report_to_json(report)
+        return json.dumps({k: _json(v) for k, v in report.items()}, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

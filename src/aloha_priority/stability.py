@@ -128,21 +128,26 @@ def ds2_l2_limit(p1, l1):
     return (1.0 - p1) * (p1 - l1) / (p1 * p1)
 
 
+def divisor(value: float, expression: str) -> float:
+    """``value``, or DegenerateParameterError where it is 0 (underflow included):
+    a closed form is undefined exactly where something it divides by is 0."""
+    if value == 0.0:
+        raise DegenerateParameterError(f"closed form divides by {expression} = 0")
+    return value
+
+
 def ds1_rho(p: AccessProbabilities, l1: float) -> float:
     """Traffic intensity of queue 1 when queue 2 is saturated."""
-    if p.p1 == 0.0:
-        raise DegenerateParameterError("ds1_rho undefined at p1 = 0 (no service)")
-    if l1 * p.p2 >= 1.0:
-        raise DegenerateParameterError("ds1_rho undefined at l1 * p2 = 1")
     num = l1 * (1.0 - p.p1 + l1 * p.p1 * p.p2)
     den = p.p1 * (1.0 - l1) * (1.0 - l1 * p.p2)
-    return num / den
+    return num / divisor(den, "p1 (1 - l1)(1 - l1 p2)")
 
 
 def ds1_steady_state(p: AccessProbabilities, l1: float) -> Ds1SteadyState:
     """Stationary distribution of the queue-1 chain in dominant system 1.
 
-    Requires rho < 1; raises UnstableParameterError otherwise.
+    Requires rho < 1; raises UnstableParameterError otherwise.  Where rho
+    exists, so do pi0 and eps1: they divide by factors of rho's divisor.
     """
     rho = ds1_rho(p, l1)
     if rho >= 1.0:
@@ -156,11 +161,7 @@ def ds1_steady_state(p: AccessProbabilities, l1: float) -> Ds1SteadyState:
 
 def ds1_service_rate_q2(p: AccessProbabilities, l1: float) -> float:
     """Long-run success rate of saturated queue 2, valid while queue 1 is stable."""
-    rho = ds1_rho(p, l1)
-    if rho >= 1.0:
-        raise UnstableParameterError(
-            f"service rate formula needs queue 1 stable: rho = {rho}"
-        )
+    ds1_steady_state(p, l1)  # raises outside the stability region
     return ds1_mu2(p.p2, l1)
 
 
@@ -243,11 +244,8 @@ def priority_boundary(l1: float) -> float:
 
 def optimal_p2(l1: float) -> float:
     """Queue-2 access probability attaining the envelope (with p1 = 1)."""
-    if l1 == 0.0:
-        raise DegenerateParameterError("optimal p2 undefined at l1 = 0")
-    if not 0.0 < l1 <= 1.0:
-        raise ValueError(f"l1 must lie in (0, 1], got {l1!r}")
-    return min(1.0, (1.0 - l1) / (2.0 * l1))
+    _require_unit_rate(l1)
+    return min(1.0, (1.0 - l1) / divisor(2.0 * l1, "2 l1"))
 
 
 def ra_boundary(l1: float) -> float:

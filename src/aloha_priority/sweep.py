@@ -71,11 +71,14 @@ class EnvelopeComparison:
 def grid(step: float) -> np.ndarray:
     """The points 0, 1/n, ..., 1 for n = 1 / step, each the double i / n.
 
-    A step must lie in (0, 0.1] and divide 1 evenly; otherwise ValueError
-    names the rule the step breaks.
+    A step must lie in (0, 0.1], be no finer than 0.001 (a p-grid meshgrid of
+    10^6 points) and divide 1 evenly; otherwise ValueError names the rule the
+    step breaks.
     """
     if not 0.0 < step <= 0.1:
         raise ValueError("not in (0, 0.1]")
+    if step < 0.001:
+        raise ValueError("is finer than 0.001")
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
         raise ValueError("must divide 1 evenly")

@@ -53,7 +53,7 @@ def _coerce(text: str) -> Any:
 
 
 def parse_csv_table(text: str) -> tuple[list[str], list[list[Any]]]:
-    """Inverse of table_to_csv, numbers coerced back to int/float."""
+    """Inverse of emit_table's csv, numbers coerced back to int/float."""
     reader = csv.reader(io.StringIO(text))
     columns = next(reader)
     rows = [[_coerce(cell) for cell in row] for row in reader if row]

@@ -34,26 +34,26 @@ class TestSerialization:
     AWKWARD = [0.1, 1.0 / 3.0, 1e-17, 0.30000000000000004, 12, "text"]
 
     def test_csv_table_round_trip(self):
-        text = reports.table_to_csv(["a", "b", "c", "d", "e", "f"], [self.AWKWARD])
+        text = reports.emit_table(["a", "b", "c", "d", "e", "f"], [self.AWKWARD], "csv")
         columns, rows = parse_csv_table(text)
         assert columns == ["a", "b", "c", "d", "e", "f"]
         assert rows == [self.AWKWARD]
 
     def test_json_table_round_trip(self):
-        text = reports.table_to_json(["a", "b", "c", "d", "e", "f"], [self.AWKWARD])
+        text = reports.emit_table(["a", "b", "c", "d", "e", "f"], [self.AWKWARD], "json")
         columns, rows = parse_json_table(text)
         assert rows == [self.AWKWARD]
 
     def test_report_round_trips(self):
         report = {"x": 0.1 + 0.2, "n": 7, "s": "stable"}
-        assert parse_csv_report(reports.report_to_csv(report)) == report
-        assert parse_json_report(reports.report_to_json(report)) == report
+        assert parse_csv_report(reports.emit_report(report, "csv")) == report
+        assert parse_json_report(reports.emit_report(report, "json")) == report
 
     def test_bools_become_ints(self):
-        text = reports.table_to_csv(["flag"], [[True], [False]])
+        text = reports.emit_table(["flag"], [[True], [False]], "csv")
         _, rows = parse_csv_table(text)
         assert rows == [[1], [0]]
-        assert json.loads(reports.table_to_json(["flag"], [[True]]))["rows"] == [[1]]
+        assert json.loads(reports.emit_table(["flag"], [[True]], "json"))["rows"] == [[1]]
 
     def test_rejects(self):
         with pytest.raises(ValueError):
@@ -274,6 +274,22 @@ class TestExitCodes:
             code, _, err = _run(capsys, argv + [text])
             assert code == 1
             assert err.endswith(f"error: argument {flag}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boundary", "--scheme", "priority", "--step"],
+            ["region", "--p1", "0.5", "--p2", "0.5", "--lambda-step"],
+            ["sweep", "--lambda-step", "0.1", "--p-step"],
+            ["sweep", "--p-step", "0.1", "--lambda-step"],
+        ],
+    )
+    def test_step_floor_messages(self, capsys, argv):
+        for text in ("0.0005", "1e-9", "1e-300"):
+            code, out, err = _run(capsys, argv + [text])
+            assert code == 1
+            assert out == ""
+            assert err.endswith(f"error: argument {argv[-1]}: step {text} is finer than 0.001\n")
 
     def test_config_error_is_usage_error(self, capsys):
         code, _, err = _run(

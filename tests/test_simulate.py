@@ -177,6 +177,35 @@ class TestDominanceCoupling:
         assert np.all(trajs[DominanceMode.DS1].q1 >= trajs[DominanceMode.NONE].q1)
         assert np.all(trajs[DominanceMode.DS2].q2 >= trajs[DominanceMode.NONE].q2)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(ProtocolKind),
+        p1=st.floats(0.0, 1.0),
+        p2=st.floats(0.0, 1.0),
+        l1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        l2=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        horizon=st.integers(2, 3_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dominance_holds_pathwise_for_random_configs(
+        self, kind, p1, p2, l1, l2, horizon, seed
+    ):
+        def trajectory(mode):
+            return run_trajectory(
+                _config(
+                    kind=kind,
+                    mode=mode,
+                    p=AccessProbabilities(p1, p2),
+                    l=ArrivalRates(l1, l2),
+                    horizon=horizon,
+                    seed=seed,
+                )
+            )
+
+        none = trajectory(DominanceMode.NONE)
+        assert np.all(trajectory(DominanceMode.DS1).q1 >= none.q1)
+        assert np.all(trajectory(DominanceMode.DS2).q2 >= none.q2)
+
 
 def _assert_same_trajectory(got, expected):
     for field in dataclasses.fields(Trajectory):

@@ -1,10 +1,16 @@
 """Closed-form stability results against substitution values and each other."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from aloha_priority.errors import DegenerateParameterError, UnstableParameterError
+from aloha_priority import qbd
+from aloha_priority.errors import AlohaError, DegenerateParameterError, UnstableParameterError
 from aloha_priority.model import AccessProbabilities, ArrivalRates
 from aloha_priority.stability import (
     ds1_region_contains,
@@ -213,3 +219,59 @@ class TestEnvelopes:
         for fn in (priority_boundary, ra_boundary, td_boundary):
             values = [fn(float(x)) for x in grid]
             assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+
+# every public closed form of stability and qbd that takes (p, rate)
+_CLOSED_FORMS = [
+    ds1_rho,
+    ds1_steady_state,
+    ds1_service_rate_q2,
+    qbd.qbd_blocks,
+    qbd.rate_matrix_closed_form,
+    qbd.spectral_radius_closed_form,
+    qbd.ds2_pi0,
+    functools.partial(qbd.ds2_stationary, k_max=3),
+    qbd.ds2_service_rate_q1,
+    qbd.ds2_service_rate_q1_series,
+]
+_EDGE = st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0])
+
+
+class TestEdgeValues:
+    # a closed form is undefined exactly where a divisor is 0, which the
+    # parameters or an underflowed product can make so; there it raises an
+    # AlohaError, never a bare ZeroDivisionError or a NaN
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(form=st.sampled_from(_CLOSED_FORMS), p1=_EDGE, p2=_EDGE, rate=_EDGE)
+    def test_value_or_aloha_error(self, form, p1, p2, rate):
+        try:
+            value = form(AccessProbabilities(p1, p2), rate)
+        except AlohaError:
+            return
+        if dataclasses.is_dataclass(value):
+            value = dataclasses.astuple(value)
+        assert not np.isnan(value).any(), (form, p1, p2, rate, value)
+
+
+_PROB = st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0]), st.floats(0.0, 1.0))
+_OPEN_RATE = st.one_of(
+    st.sampled_from([1e-300, 0.5, 1.0 - 1e-16]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+def _at_most(l):
+    """l itself, so that one rate can stay put, or a smaller rate."""
+    return st.one_of(st.just(l), st.floats(0.0, l, exclude_min=True))
+
+
+class TestRegionMonotonicity:
+    # each clause bounds one rate by a rounding chain that does not increase
+    # in the other, so lowering either rate never leaves the region
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(p1=_PROB, p2=_PROB, l1=_OPEN_RATE, l2=_OPEN_RATE, data=st.data())
+    def test_smaller_rates_stay_stable(self, p1, p2, l1, l2, data):
+        p = AccessProbabilities(p1, p2)
+        smaller = ArrivalRates(data.draw(_at_most(l1)), data.draw(_at_most(l2)))
+        if union_region_contains(p, ArrivalRates(l1, l2)).stable:
+            assert union_region_contains(p, smaller).stable

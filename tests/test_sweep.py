@@ -92,6 +92,13 @@ class TestSweep:
             with pytest.raises(ValueError, match=rule):
                 grid(step)
 
+    def test_grid_step_floor(self):
+        # 1e-9 would ask np.arange for 10^9 points; 5e-324 would overflow round(1 / step)
+        assert len(grid(0.001)) == 1001
+        for step in (0.0005, 1e-9, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="is finer than 0.001"):
+                grid(step)
+
     def test_step_validation(self):
         with pytest.raises(ValueError):
             sweep(p_step=0.3)
