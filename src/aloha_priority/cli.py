@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: boundary, region, sweep, simulate, analyze qbd, verify.
-Exit codes: 0 success, 1 usage error (an unwritable --out path included),
+Exit codes: 0 success, 1 usage error (a parameter the model's types reject
+as out of range and an unwritable --out path included),
 2 verification failure, 3 degenerate or unstable parameter rejection (or a
 solver that cannot converge).  All output is deterministic given the same
 flags and seed, with one qualification: the last digits of the oracle total
@@ -18,7 +19,7 @@ import sys
 
 from . import qbd, reports, simulate, verify
 from .errors import AlohaError
-from .model import AccessProbabilities, ArrivalRates, DominanceMode, ProtocolKind
+from .model import AccessProbabilities, ArrivalRates, DominanceMode, ProtocolKind, require_rate
 from .stability import priority_boundary, ra_boundary, td_boundary, union_region_contains
 from .sweep import grid, sweep as run_sweep
 
@@ -29,33 +30,12 @@ _KINDS = {
 }
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text} not in [0, 1]")
-    return value
-
-
-def _rate(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"{text} not in (0, 1)")
-    return value
-
-
 def _step(text: str) -> float:
     value = float(text)
     try:
         grid(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"step {text} {exc}") from None
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text} must be positive")
     return value
 
 
@@ -87,8 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_boundary)
 
     r = commands.add_parser("region", help="stability verdicts on a rate grid at fixed p")
-    r.add_argument("--p1", type=_probability, required=True)
-    r.add_argument("--p2", type=_probability, required=True)
+    r.add_argument("--p1", type=float, required=True)
+    r.add_argument("--p2", type=float, required=True)
     r.add_argument("--lambda-step", type=_step, default=0.01)
     _add_output_flags(r)
     r.set_defaults(func=cmd_region)
@@ -102,11 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = commands.add_parser("simulate", help="Monte Carlo slot simulation")
     sim.add_argument("--kind", choices=sorted(_KINDS), default="priority")
     sim.add_argument("--mode", choices=[m.value for m in DominanceMode], default="none")
-    sim.add_argument("--p1", type=_probability, required=True)
-    sim.add_argument("--p2", type=_probability, required=True)
-    sim.add_argument("--l1", type=_rate, required=True)
-    sim.add_argument("--l2", type=_rate, required=True)
-    sim.add_argument("--slots", type=_positive_int, default=1_000_000)
+    sim.add_argument("--p1", type=float, required=True)
+    sim.add_argument("--p2", type=float, required=True)
+    sim.add_argument("--l1", type=float, required=True)
+    sim.add_argument("--l2", type=float, required=True)
+    sim.add_argument("--slots", type=int, default=1_000_000)
     sim.add_argument("--seed", type=int, default=simulate.DEFAULT_SEED)
     sim.add_argument("--warmup", type=int, default=None)
     _add_output_flags(sim)
@@ -115,9 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     an = commands.add_parser("analyze", help="closed-form analysis reports")
     an_sub = an.add_subparsers(dest="analysis", required=True)
     aq = an_sub.add_parser("qbd", help="queue-2 chain under saturated queue 1")
-    aq.add_argument("--p1", type=_probability, required=True)
-    aq.add_argument("--p2", type=_probability, required=True)
-    aq.add_argument("--l2", type=_rate, required=True)
+    aq.add_argument("--p1", type=float, required=True)
+    aq.add_argument("--p2", type=float, required=True)
+    aq.add_argument("--l2", type=float, required=True)
     _add_output_flags(aq)
     aq.set_defaults(func=cmd_analyze_qbd)
 
@@ -201,6 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze_qbd(args: argparse.Namespace) -> int:
     p = AccessProbabilities(args.p1, args.p2)
+    require_rate("l2", args.l2)
     # rejects unstable and critical points before the solver can stall on them
     pi0 = qbd.ds2_pi0(p, args.l2)
     blocks = qbd.qbd_blocks(p, args.l2)

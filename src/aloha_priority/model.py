@@ -90,6 +90,12 @@ class AccessProbabilities:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def require_rate(name: str, value: float) -> None:
+    """The one arrival-rate rule: ValueError unless 0 < value < 1 (nan fails)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArrivalRates:
     """Bernoulli arrival rates (l1, l2), each strictly inside (0, 1).
@@ -103,9 +109,8 @@ class ArrivalRates:
     l2: float
 
     def __post_init__(self) -> None:
-        for name, value in (("l1", self.l1), ("l2", self.l2)):
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+        require_rate("l1", self.l1)
+        require_rate("l2", self.l2)
 
 
 def advance_slot(

@@ -40,6 +40,7 @@ from .model import (
     DominanceMode,
     Phase,
     ProtocolKind,
+    require_rate,
     slot_table,
 )
 
@@ -91,8 +92,7 @@ def build_chain(
         raise ValueError("oracle supports the single-queue systems DS1 and DS2")
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    if not 0.0 < arrival_rate < 1.0:
-        raise ValueError("arrival_rate must lie in (0, 1)")
+    require_rate("arrival_rate", arrival_rate)
 
     n = 2 * (k_max + 1)
     chain = TruncatedChain(k_max=k_max, matrix=np.zeros((n, n), order="F"))

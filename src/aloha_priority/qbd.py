@@ -216,8 +216,6 @@ def spectral_radius(r: np.ndarray) -> float:
 def spectral_radius_closed_form(p: AccessProbabilities, l2: float) -> float:
     """Explicit scalar form of sp(R); same degeneracies as the closed-form R."""
     p1, p2 = p.p1, p.p2
-    # den is twice _down_rate but cancels in floats (2.8e-17 at p1 = 1, l2 = 0.1)
-    _down_rate(p, l2)
     disc = (
         1.0
         - 2.0 * p2
@@ -228,8 +226,7 @@ def spectral_radius_closed_form(p: AccessProbabilities, l2: float) -> float:
         + l2**2 * p1**2 * p2**2
     )
     num = l2 * (1.0 - p2 - l2 * p1 * p2 + 2.0 * p1 * p2 + disc**0.5)
-    den = 2.0 * p2 * (1.0 - l2 - p1 + l2 * p1)
-    return num / divisor(den, "2 p2 (1 - l2 - p1 + l2 p1)")
+    return num / (2.0 * _down_rate(p, l2))
 
 
 def ds2_pi0(p: AccessProbabilities, l2: float) -> float:

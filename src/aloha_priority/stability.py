@@ -85,7 +85,6 @@ class Ds1SteadyState:
 class Ds3SteadyState:
     """Stationary phase occupancy and service rates with both queues saturated."""
 
-    pi_normal: float
     pi_reserved: float
     mu1: float
     mu2: float
@@ -172,11 +171,8 @@ def ds3_steady_state(p: AccessProbabilities) -> Ds3SteadyState:
     reserved slot returns to normal, so the reserved-phase occupancy is
     p1 p2 / (1 + p1 p2).
     """
-    denom = 1.0 + p.p1 * p.p2
-    pi_reserved = p.p1 * p.p2 / denom
     return Ds3SteadyState(
-        pi_normal=1.0 / denom,
-        pi_reserved=pi_reserved,
+        pi_reserved=p.p1 * p.p2 / (1.0 + p.p1 * p.p2),
         mu1=ds3_mu1(p.p1, p.p2),
         mu2=ds3_mu2(p.p1, p.p2),
     )

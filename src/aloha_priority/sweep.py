@@ -11,8 +11,7 @@ over the plain random-access curve shrinks like (1 - sqrt(l1))^3, faster than
 the p-grid resolution loss of order l1 * p_step^2, so the NUMERIC envelope
 dips below the RA curve for l1 around 0.97 and beyond at the default
 p_step = 0.01.  The sandwich comparison therefore tests the closed-form
-envelope (the actual containment claim) and reports the numeric-vs-RA margin
-separately for inspection.
+envelope (the actual containment claim), not the numeric one.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AccessProbabilities, ArrivalRates
 from .stability import (
     ds1_mu2,
     ds2_l2_limit,
@@ -30,21 +28,12 @@ from .stability import (
     priority_boundary,
     ra_boundary,
     td_boundary,
-    union_region_contains,
 )
 
 
 @dataclass(frozen=True)
 class RegionDataset:
-    """Per-l1 envelope values of the four schemes, plus the argmax p.
-
-    ``samples`` is a point cloud of rows (l1, l2, p1, p2, stable) probing
-    each column's envelope from just inside with the recorded argmax p; the
-    flags are produced by the region predicates, so a False would mean the
-    sweep and the predicates disagree.  Rows with a zero envelope (the far
-    right of the grid, where the p-grid is too coarse to certify anything)
-    carry no probe and are excluded.
-    """
+    """Per-l1 envelope values of the four schemes, plus the argmax p."""
 
     lambda_step: float
     lambda1: np.ndarray
@@ -54,7 +43,6 @@ class RegionDataset:
     td: np.ndarray
     argmax_p1: np.ndarray
     argmax_p2: np.ndarray
-    samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,7 +52,6 @@ class EnvelopeComparison:
     max_abs_deviation: float  # |numeric - closed form|, over the grid
     min_margin_closed_over_ra: float  # min of closed - ra
     min_margin_td_over_closed: float  # min of td - closed
-    min_margin_numeric_over_ra: float  # informational; negative near l1 -> 1
     knee_lambda1: float  # second-difference spike of the numeric envelope
 
 
@@ -127,18 +114,6 @@ def sweep(p_step: float = 0.01, lambda_step: float = 0.005) -> RegionDataset:
     ra = np.array([ra_boundary(float(l1)) for l1 in lambda1])
     td = np.array([td_boundary(float(l1)) for l1 in lambda1])
 
-    rows = []
-    for idx, l1 in enumerate(lambda1):
-        if numeric[idx] <= 0.0:
-            continue
-        probe = numeric[idx] * (1.0 - 1e-9)
-        verdict = union_region_contains(
-            AccessProbabilities(a_p1[idx], a_p2[idx]),
-            ArrivalRates(float(l1), probe),
-        )
-        rows.append((float(l1), probe, a_p1[idx], a_p2[idx], float(verdict.stable)))
-    samples = np.array(rows) if rows else np.empty((0, 5))
-
     return RegionDataset(
         lambda_step=lambda_step,
         lambda1=lambda1,
@@ -148,7 +123,6 @@ def sweep(p_step: float = 0.01, lambda_step: float = 0.005) -> RegionDataset:
         td=td,
         argmax_p1=a_p1,
         argmax_p2=a_p2,
-        samples=samples,
     )
 
 
@@ -167,6 +141,5 @@ def compare_envelopes(dataset: RegionDataset) -> EnvelopeComparison:
         max_abs_deviation=float(np.max(np.abs(numeric - closed))),
         min_margin_closed_over_ra=float(np.min(closed - dataset.ra)),
         min_margin_td_over_closed=float(np.min(dataset.td - closed)),
-        min_margin_numeric_over_ra=float(np.min(numeric - dataset.ra)),
         knee_lambda1=knee,
     )

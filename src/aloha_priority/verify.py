@@ -16,7 +16,7 @@ import numpy as np
 from . import oracle, qbd, simulate
 from .model import AccessProbabilities, ArrivalRates, DominanceMode, ProtocolKind
 from .simulate import DEFAULT_SEED
-from .stability import ds1_steady_state, ds3_mu2, ds3_steady_state
+from .stability import ds1_steady_state, ds3_mu2, ds3_steady_state, union_region_contains
 from .sweep import compare_envelopes, sweep as run_sweep
 
 
@@ -209,11 +209,25 @@ def suite_ds3() -> list[CheckResult]:
 
 
 def suite_containment() -> list[CheckResult]:
+    """The sweep's envelope against the closed form, then probed from inside.
+
+    Each positive numeric envelope value, times (1 - 1e-9), is a rate l2 that
+    the region predicate must call stable at that column's argmax p; a False
+    would mean the sweep and the predicates disagree.  A zero envelope (the
+    far right of the grid, where the p-grid is too coarse to certify
+    anything) carries no probe.
+    """
     dataset = run_sweep()
     cmp = compare_envelopes(dataset)
     above_ra = cmp.min_margin_closed_over_ra
     below_td = cmp.min_margin_td_over_closed
-    all_stable = bool(np.all(dataset.samples[:, 4] == 1.0))
+    columns = (dataset.lambda1, dataset.priority_numeric, dataset.argmax_p1, dataset.argmax_p2)
+    probes = [
+        (AccessProbabilities(p1, p2), ArrivalRates(l1, l2 * (1.0 - 1e-9)))
+        for l1, l2, p1, p2 in zip(*(c.tolist() for c in columns))
+        if l2 > 0.0
+    ]
+    all_stable = all(union_region_contains(p, l).stable for p, l in probes)
     return [
         _check("containment numeric vs closed-form envelope", cmp.max_abs_deviation, 0.02),
         _check("containment closed-form envelope above ra", above_ra, 0.0, above_ra > 0.0),

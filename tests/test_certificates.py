@@ -17,9 +17,11 @@ import sympy
 from aloha_priority import qbd
 from aloha_priority.model import DominanceMode, Phase, ProtocolKind, slot_table
 from aloha_priority.stability import (
+    ds1_rho,
     ds1_steady_state,
     ds2_l2_limit,
     ds2_mu1,
+    ds3_mu1,
     priority_boundary,
 )
 
@@ -75,6 +77,15 @@ def test_closed_form_spectral_radius_is_the_larger_root():
 
 def test_ds2_clause_inverts():
     assert _is_zero(ds2_mu1(P1, ds2_l2_limit(P1, L1)) - L1)
+
+
+def test_ds1_stability_guard_is_the_region_l1_clause():
+    # (1 - rho) times rho's divisor is (mu1'' - l1)(1 + p1 p2), so wherever
+    # that divisor is positive, ds1_steady_state's rho < 1 and
+    # ds1_region_contains' l1 < mu1'' are one condition
+    gap = (1 - ds1_rho(SYMBOLIC_P, L1)) * P1 * (1 - L1) * (1 - L1 * P2)
+    assert _is_zero(gap - (P1 - L1 * (1 + P1 * P2)))
+    assert _is_zero(gap - (ds3_mu1(P1, P2) - L1) * (1 + P1 * P2))
 
 
 def _envelope_branch(below_knee: bool):

