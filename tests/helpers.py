@@ -8,9 +8,9 @@ block-tridiagonal matrix for comparison with the enumerated oracle kernel;
 ``reference_rate_matrix`` solves one point at a time with 2x2 arithmetic;
 ``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
 ``reference_trajectory`` replays a run with one ``advance_slot`` call per slot;
-``reference_chain`` builds the oracle kernel with one ``advance_slot`` call per
-level, phase and coin combination; ``reference_stationary`` solves the oracle's
-stationary system in a copy of the kernel.
+``reference_chain`` builds the oracle's dense kernel with one ``advance_slot``
+call per level, phase and coin combination; ``reference_stationary`` solves the
+oracle's stationary system from a dense kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from aloha_priority.model import (
     SystemState,
     advance_slot,
 )
-from aloha_priority.oracle import TruncatedChain
 from aloha_priority.qbd import _TOL, QbdBlocks
 from aloha_priority.simulate import SimulationConfig, Trajectory, _slope, _verdict
 
@@ -170,23 +169,23 @@ def reference_trajectory(config: SimulationConfig) -> Trajectory:
 
 def reference_chain(
     mode: DominanceMode, p: AccessProbabilities, arrival_rate: float, k_max: int
-) -> TruncatedChain:
-    """``oracle.build_chain`` as one ``advance_slot`` call per level, phase and
-    coin combination, into a C-ordered matrix.
+) -> np.ndarray:
+    """``oracle.build_chain(...).matrix`` as one ``advance_slot`` call per
+    level, phase and coin combination, into a C-ordered matrix.
 
     Every level is enumerated on its own, so nothing assumes that levels
-    above 0 behave alike; the tabulated kernel must match it entry for entry,
-    bit for bit.
+    above 0 behave alike; the kernel the blocks lay out must match it entry
+    for entry, bit for bit.
     """
     tracked_q1 = mode is DominanceMode.DS1
     n = 2 * (k_max + 1)
-    chain = TruncatedChain(k_max=k_max, matrix=np.zeros((n, n)))
+    t = np.zeros((n, n))
     # each coin (arrival, queue-1 draw, queue-2 draw) lands heads with its probability
     coins = [((True, q), (False, 1.0 - q)) for q in (arrival_rate, p.p1, p.p2)]
 
     for level in range(k_max + 1):
         for phase in (Phase.NORMAL, Phase.BACKOFF):
-            j = chain.index(level, phase)
+            j = 2 * level + int(phase)
             state = (
                 SystemState(level, 0, phase)
                 if tracked_q1
@@ -206,19 +205,20 @@ def reference_chain(
                 )
                 nxt_level = nxt.q1_len if tracked_q1 else nxt.q2_len
                 # clamp at the cap, phase preserved
-                i = chain.index(min(nxt_level, k_max), nxt.phase)
-                chain.matrix[i, j] += weight
+                i = 2 * min(nxt_level, k_max) + int(nxt.phase)
+                t[i, j] += weight
 
-    return chain
+    return t
 
 
-def reference_stationary(chain: TruncatedChain) -> np.ndarray:
-    """``oracle.stationary`` with T - I formed in a Fortran-ordered copy of T.
+def reference_stationary(t: np.ndarray) -> np.ndarray:
+    """``oracle.stationary`` from the dense kernel T alone: T - I formed in a
+    Fortran-ordered copy of T, and the residual taken densely.
 
-    The same system, normalisation row and residual check; solving in the
-    kernel's own storage must return the same vector, bit for bit.
+    The same system and normalisation row; the oracle, which lays its blocks
+    out as that system and takes the residual level by level, must return
+    the same vector, bit for bit.
     """
-    t = chain.matrix
     n = t.shape[0]
     a = np.array(t, order="F")
     a[np.diag_indices(n)] -= 1.0

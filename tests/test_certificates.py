@@ -117,9 +117,10 @@ def test_envelope_branches_meet_at_one_third_in_value_and_slope():
 class _InRange:
     """A sympy expression that answers every comparison with False.
 
-    ``ds1_steady_state`` guards its inputs with ``p1 == 0``, ``l1 p2 >= 1``
-    and ``rho >= 1``, which a symbol cannot decide; answered False, they let
-    the function return the stable law, its arithmetic kept symbolic.
+    ``ds1_steady_state`` guards its inputs with two comparisons: ``ds1_rho``'s
+    ``den == 0.0``, through ``stability.divisor``, and its own ``rho >= 1``.
+    A symbol cannot decide either; answered False, they let the function
+    return the stable law, its arithmetic kept symbolic.
     """
 
     def __init__(self, expr):

@@ -329,12 +329,21 @@ class TestExitCodes:
         assert _run(capsys, ["--help"])[0] == 0
 
     def test_rejection_exits_3(self, capsys):
-        # degenerate, unstable, and the critical witness where sp(R) = 1 and
-        # the rate-matrix fixed point would stall
-        for p1, p2, l2 in (("1.0", "0.5", "0.1"), ("0.5", "0.5", "0.3"), ("0.5", "0.5", "0.2")):
+        # degenerate, unstable, the critical witness where sp(R) = 1 and the
+        # rate-matrix fixed point would stall, and a stable point next to
+        # p1 = 1.  There det(I - A1) is 7.05e-17 exactly, so its inverse has
+        # entries near 1e16; a factored det would fix the det's digits but
+        # not that conditioning, and the rejection stays.
+        for p1, p2, l2, reason in (
+            ("1.0", "0.5", "0.1", "divides by"),
+            ("0.5", "0.5", "0.3", "unstable"),
+            ("0.5", "0.5", "0.2", "unstable"),
+            ("0.9999999999999999", "0.5", "1e-17", "I - A1 is singular"),
+        ):
             code, _, err = _run(capsys, ["analyze", "qbd", "--p1", p1, "--p2", p2, "--l2", l2])
             assert code == 3
             assert err.startswith("rejected:")
+            assert reason in err
 
 
 # probabilities and rates at and past the edges of their ranges, as typed
@@ -368,6 +377,45 @@ class TestEdgeInputs:
         assert "Traceback" not in err.getvalue()
         if out.getvalue():
             json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+# Runs each command read from stdin in-process, as the benchmark does, and
+# prints {command: [exit code, sha256 of stdout]} as json.
+_REPLAY = """
+import contextlib, hashlib, io, json, sys
+from aloha_priority.cli import main
+digests = {}
+for command in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    digests[command] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+json.dump(digests, sys.stdout)
+"""
+
+
+def _one_blas_thread_env() -> dict[str, str]:
+    """The environment for a child process that imports the package from
+    ``src`` with one BLAS thread: the oracle's LAPACK solve gives different
+    last bits at two threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _replay(commands: list[str]) -> dict[str, list]:
+    """{command: [exit code, sha256 of stdout]}, all run in one child process."""
+    done = subprocess.run(
+        [sys.executable, "-c", _REPLAY], input=json.dumps(commands),
+        capture_output=True, text=True, env=_one_blas_thread_env(), check=False,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def verify_digests():
+    return _replay([command for command, _ in TestClosedFormBytes.VERIFY])
 
 
 _QBD = "analyze qbd --p1 {} --p2 {} --l2 {} --format {}"
@@ -470,7 +518,7 @@ class TestClosedFormBytes:
     ]
 
     # The ds1 and qbd suites solve the oracle chain with LAPACK, whose last
-    # bits depend on the BLAS thread count, so the verify commands run in a
+    # bits depend on the BLAS thread count, so the verify commands run in one
     # child process with one BLAS thread (as perfbench/golden.json does).
     VERIFY = [
         ("verify --suite ds1",
@@ -492,30 +540,8 @@ class TestClosedFormBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("command,digest", VERIFY, ids=[c for c, _ in VERIFY])
-    def test_verify_bytes_pinned(self, command, digest):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "aloha_priority.cli", *command.split()],
-            capture_output=True, env=env, check=False,
-        )
-        assert (done.returncode, done.stderr) == (0, b"")
-        assert hashlib.sha256(done.stdout).hexdigest() == digest
-
-
-# Runs each command of perfbench/golden.json in-process, as the benchmark does,
-# and prints {command: [exit code, sha256 of stdout]} as json.
-_REPLAY = """
-import contextlib, hashlib, io, json, sys
-from aloha_priority.cli import main
-digests = {}
-for command in json.load(sys.stdin):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(command.split())
-    digests[command] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
-json.dump(digests, sys.stdout)
-"""
+    def test_verify_bytes_pinned(self, verify_digests, command, digest):
+        assert verify_digests[command] == [0, digest]
 
 
 class TestBenchmarkGolden:
@@ -524,14 +550,7 @@ class TestBenchmarkGolden:
         # digest as failed; replaying them here catches that before a run.
         # One child process with one BLAS thread, as the benchmark pins it.
         golden = json.loads((SRC.parent / "perfbench" / "golden.json").read_text())
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _REPLAY], input=json.dumps(list(golden)),
-            capture_output=True, text=True, env=env, check=False,
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        assert json.loads(done.stdout) == {command: [0, d] for command, d in golden.items()}
+        assert _replay(list(golden)) == {command: [0, d] for command, d in golden.items()}
 
 
 class TestOutFlag:

@@ -1,6 +1,7 @@
 """Truncated-chain oracle: kernel enumeration, stationary solve, cross-checks,
-the tabulated kernel against one ``advance_slot`` call per level, and the
-in-place solve against a solve in a copy of the kernel."""
+the tabulated kernel against one ``advance_slot`` call per level, the solve
+against a solve of that reference kernel, the memory each step allocates, and
+the oracle against the closed forms at random stable points."""
 
 import tracemalloc
 
@@ -25,25 +26,68 @@ from aloha_priority.oracle import (
     stationary,
     total_variation,
 )
-from aloha_priority.qbd import ds2_stationary, qbd_blocks
+from aloha_priority.qbd import ds2_stationary, qbd_blocks, spectral_radius_closed_form
 from aloha_priority.simulate import SimulationConfig, run_trajectory
-from aloha_priority.stability import ds1_steady_state
+from aloha_priority.stability import ds1_rho, ds1_steady_state, ds3_mu1, ds3_mu2
+from aloha_priority.verify import oracle_tv
 
 HALF = AccessProbabilities(0.5, 0.5)
 SKEW = AccessProbabilities(0.3, 0.7)
 
 
+def _at(level: int, phase: Phase) -> int:
+    """Position of (level, phase) in the dense kernel: level-major, normal first."""
+    return 2 * level + int(phase)
+
+
+def _peak_bytes(fn) -> int:
+    """Peak of the memory tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestKernel:
     def test_columns_stochastic(self):
         for mode, rate in ((DominanceMode.DS1, 0.15), (DominanceMode.DS2, 0.2)):
-            chain = build_chain(mode, SKEW, rate, 40)
-            assert_allclose(chain.matrix.sum(axis=0), 1.0, atol=1e-14)
-            assert np.all(chain.matrix >= 0.0)
+            t = build_chain(mode, SKEW, rate, 40).matrix
+            assert_allclose(t.sum(axis=0), 1.0, atol=1e-14)
+            assert np.all(t >= 0.0)
+
+    def test_edge_blocks_are_zero(self):
+        # level 0 cannot move down, and the cap's up-moves are clamped into
+        # its same-level block
+        for mode in (DominanceMode.DS1, DominanceMode.DS2):
+            blocks = build_chain(mode, SKEW, 0.2, 10).blocks
+            assert blocks.shape == (3, 3, 2, 2)
+            assert not blocks[0, 0].any() and not blocks[2, 2].any()
+            assert_allclose(blocks[2, 1], blocks[1, 1] + blocks[1, 2], rtol=1e-14)
+
+    def test_build_allocates_no_dense_kernel(self):
+        # the dense n x n kernel at this k_max would take 82 MB
+        peak = _peak_bytes(lambda: build_chain(DominanceMode.DS2, SKEW, 0.2, 1600))
+        assert peak < 1e6
+
+    def test_matrix_is_fortran_ordered(self):
+        t = build_chain(DominanceMode.DS1, SKEW, 0.15, 30).matrix
+        assert t.shape == (62, 62)
+        assert t.flags.f_contiguous and t.flags.writeable
+
+    def test_matrix_is_laid_out_anew_on_every_read(self):
+        chain = build_chain(DominanceMode.DS2, SKEW, 0.2, 30)
+        blocks = chain.blocks.copy()
+        first = chain.matrix
+        first[:] = 0.0
+        assert chain.matrix is not first
+        assert np.array_equal(chain.matrix, reference_chain(DominanceMode.DS2, SKEW, 0.2, 30))
+        assert np.array_equal(chain.blocks, blocks)
 
     def test_ds1_spot_entries(self):
         # hand-computed one-slot probabilities at p = (0.3, 0.7), l1 = 0.2
-        chain = build_chain(DominanceMode.DS1, SKEW, 0.2, 10)
-        t, ix = chain.matrix, chain.index
+        t, ix = build_chain(DominanceMode.DS1, SKEW, 0.2, 10).matrix, _at
         n0, n1, n2 = ix(0, Phase.NORMAL), ix(1, Phase.NORMAL), ix(2, Phase.NORMAL)
         b1, b2 = ix(1, Phase.BACKOFF), ix(2, Phase.BACKOFF)
         # empty queue: only an arriving packet can transmit or collide
@@ -93,12 +137,6 @@ class TestKernel:
         with pytest.raises(ValueError):
             build_chain(DominanceMode.DS1, HALF, 1.0, 10)
 
-    def test_index_bounds(self):
-        chain = build_chain(DominanceMode.DS1, HALF, 0.1, 5)
-        assert chain.index(3, Phase.BACKOFF) == 7
-        with pytest.raises(ValueError):
-            chain.index(6, Phase.NORMAL)
-
 
 class TestChainEquality:
     """The tabulated kernel is the per-level enumeration, bit for bit."""
@@ -108,10 +146,10 @@ class TestChainEquality:
     @pytest.mark.parametrize("mode", [DominanceMode.DS1, DominanceMode.DS2])
     def test_matches_reference(self, mode, p1, p2, k_max):
         p = AccessProbabilities(p1, p2)
-        chain = build_chain(mode, p, 0.15, k_max)
+        t = build_chain(mode, p, 0.15, k_max).matrix
         ref = reference_chain(mode, p, 0.15, k_max)
-        assert chain.matrix.dtype == ref.matrix.dtype
-        assert np.array_equal(chain.matrix, ref.matrix)
+        assert t.dtype == ref.dtype
+        assert np.array_equal(t, ref)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -123,58 +161,60 @@ class TestChainEquality:
     )
     def test_matches_reference_property(self, mode, p1, p2, rate, k_max):
         p = AccessProbabilities(p1, p2)
-        chain = build_chain(mode, p, rate, k_max)
+        t = build_chain(mode, p, rate, k_max).matrix
         ref = reference_chain(mode, p, rate, k_max)
-        assert chain.matrix.dtype == ref.matrix.dtype
-        assert np.array_equal(chain.matrix, ref.matrix)
+        assert t.dtype == ref.dtype
+        assert np.array_equal(t, ref)
 
     @pytest.mark.parametrize("k_max", [200, 400])
     @pytest.mark.parametrize("mode", [DominanceMode.DS1, DominanceMode.DS2])
     def test_stationary_bits_match_reference(self, mode, k_max):
-        x = stationary(build_chain(mode, SKEW, 0.15, k_max))
-        assert np.array_equal(x, stationary(reference_chain(mode, SKEW, 0.15, k_max)))
+        p = AccessProbabilities(0.8, 0.6)
+        x = stationary(build_chain(mode, p, 0.05, k_max))
+        assert np.array_equal(x, reference_stationary(reference_chain(mode, p, 0.05, k_max)))
 
 
 class TestStationary:
     def test_leaves_the_kernel_unchanged(self):
         chain = build_chain(DominanceMode.DS2, SKEW, 0.2, 40)
-        before = chain.matrix.copy()
+        before = chain.blocks.copy()
         stationary(chain)
-        assert np.array_equal(chain.matrix, before)
+        assert np.array_equal(chain.blocks, before)
 
-    def test_memory_order_does_not_change_the_solution(self):
-        t = build_chain(DominanceMode.DS1, SKEW, 0.15, 60).matrix
-        c_order = TruncatedChain(k_max=60, matrix=np.ascontiguousarray(t))
-        f_order = TruncatedChain(k_max=60, matrix=np.asfortranarray(t))
-        assert c_order.matrix.flags.c_contiguous and f_order.matrix.flags.f_contiguous
-        assert np.array_equal(stationary(c_order), stationary(f_order))
-
-    @pytest.mark.parametrize("order", ["F", "C"])
     @pytest.mark.parametrize("k_max", [200, 800])
     @pytest.mark.parametrize("mode", [DominanceMode.DS1, DominanceMode.DS2])
-    def test_bits_match_the_copy_based_solve(self, mode, k_max, order):
-        t = build_chain(mode, SKEW, 0.15, k_max).matrix
-        chain = TruncatedChain(k_max=k_max, matrix=np.array(t, order=order))
-        expected = reference_stationary(chain)
-        assert np.array_equal(stationary(chain), expected)
-        assert np.array_equal(chain.matrix, t)
+    def test_bits_match_the_copy_based_solve(self, mode, k_max):
+        expected = reference_stationary(reference_chain(mode, SKEW, 0.15, k_max))
+        assert np.array_equal(stationary(build_chain(mode, SKEW, 0.15, k_max)), expected)
 
     def test_allocates_no_copy_of_the_kernel(self):
+        # the one n x n array is the linear system; the residual is taken from
+        # the blocks, not from a second dense kernel
         chain = build_chain(DominanceMode.DS2, SKEW, 0.2, 400)
-        tracemalloc.start()
-        try:
-            stationary(chain)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * chain.matrix.nbytes
+        n = 2 * (chain.k_max + 1)
+        assert _peak_bytes(lambda: stationary(chain)) < 1.1 * 8 * n * n
 
     def test_singular_chain_raises_and_leaves_the_kernel_unchanged(self):
-        chain = TruncatedChain(k_max=2, matrix=np.asfortranarray(np.eye(6)))
-        before = chain.matrix.copy()
+        # every state keeps its level and phase: T = I, so T - I is singular
+        blocks = np.zeros((3, 3, 2, 2))
+        blocks[:, 1] = np.eye(2)
+        chain = TruncatedChain(k_max=2, blocks=blocks)
+        before = blocks.copy()
         with pytest.raises(SingularSystemError):
             stationary(chain)
-        assert np.array_equal(chain.matrix, before)
+        assert np.array_equal(chain.blocks, before)
+
+    @pytest.mark.parametrize("cls", [0, 1, 2], ids=["level0", "interior", "cap"])
+    def test_residual_sees_a_leak_in_each_level_class(self, cls):
+        # columns of this class no longer sum to 1: the solve still succeeds,
+        # but only the level-by-level residual can tell x is not stationary
+        blocks = build_chain(DominanceMode.DS2, SKEW, 0.2, 10).blocks.copy()
+        blocks[cls, 1] *= 0.9
+        chain = TruncatedChain(k_max=10, blocks=blocks)
+        before = blocks.copy()
+        with pytest.raises(SingularSystemError, match="residual"):
+            stationary(chain)
+        assert np.array_equal(chain.blocks, before)
 
     def test_distribution_properties(self):
         chain = build_chain(DominanceMode.DS1, SKEW, 0.15, 60)
@@ -187,37 +227,69 @@ class TestStationary:
         # a reserved slot follows a collision, which needs the tracked queue
         # nonempty afterward; level 0 in phase OFF carries no mass
         for mode in (DominanceMode.DS1, DominanceMode.DS2):
-            chain = build_chain(mode, HALF, 0.1, 40)
-            x = stationary(chain)
-            assert abs(x[chain.index(0, Phase.BACKOFF)]) < 1e-12
+            x = stationary(build_chain(mode, HALF, 0.1, 40))
+            assert abs(x[_at(0, Phase.BACKOFF)]) < 1e-12
 
     def test_ds1_matches_closed_form(self):
         for p, l1 in ((HALF, 0.1), (SKEW, 0.15)):
             k_max = 200
-            chain = build_chain(DominanceMode.DS1, p, l1, k_max)
-            x = stationary(chain)
+            x = stationary(build_chain(DominanceMode.DS1, p, l1, k_max))
             state = ds1_steady_state(p, l1)
             analytic = np.zeros_like(x)
             for k in range(k_max + 1):
-                analytic[chain.index(k, Phase.NORMAL)] = state.pi(k)
-                analytic[chain.index(k, Phase.BACKOFF)] = state.eps(k)
+                analytic[_at(k, Phase.NORMAL)] = state.pi(k)
+                analytic[_at(k, Phase.BACKOFF)] = state.eps(k)
             assert total_variation(x, analytic) < 1e-8
 
     def test_ds2_matches_closed_form(self):
         for p, l2 in ((HALF, 0.1), (SKEW, 0.2)):
             k_max = 200
-            chain = build_chain(DominanceMode.DS2, p, l2, k_max)
-            x = stationary(chain)
+            x = stationary(build_chain(DominanceMode.DS2, p, l2, k_max))
             law = ds2_stationary(p, l2, k_max)
             analytic = np.zeros_like(x)
             for k in range(k_max + 1):
-                analytic[chain.index(k, Phase.NORMAL)] = law[k, 0]
-                analytic[chain.index(k, Phase.BACKOFF)] = law[k, 1]
+                analytic[_at(k, Phase.NORMAL)] = law[k, 0]
+                analytic[_at(k, Phase.BACKOFF)] = law[k, 1]
             assert total_variation(x, analytic) < 1e-8
 
     def test_total_variation(self):
         assert total_variation(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
         assert total_variation(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
+
+
+def _bisect(f, target: float, lo: float, hi: float) -> float:
+    """x in (lo, hi) with f(x) = target, for f increasing on the interval."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestRandomStablePoints:
+    """The oracle, built from the slot dynamics alone, against the DS1
+    geometric law and the DS2 matrix-geometric law at random stable points."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        mode=st.sampled_from([DominanceMode.DS1, DominanceMode.DS2]),
+        p1=st.floats(0.05, 0.95),
+        p2=st.floats(0.05, 0.95),
+        decay=st.floats(0.05, 0.9),
+    )
+    def test_oracle_matches_closed_form(self, mode, p1, p2, decay):
+        # the rate at which rho (DS1) or sp(R) (DS2) equals ``decay``; the
+        # mass past k_max = 200 is then of order 0.9^200, about 7e-10
+        p = AccessProbabilities(p1, p2)
+        if mode is DominanceMode.DS1:
+            rate = _bisect(lambda l1: ds1_rho(p, l1), decay, 1e-12, ds3_mu1(p1, p2))
+        else:
+            rate = _bisect(
+                lambda l2: spectral_radius_closed_form(p, l2), decay, 1e-12, ds3_mu2(p1, p2)
+            )
+        assert oracle_tv(mode, p, rate, k_max=200) < 1e-8
 
 
 class TestAgainstSimulator:
@@ -248,7 +320,7 @@ class TestAgainstSimulator:
         # the kernel column; well-visited states must match within 3 SE, and
         # kernel zeros must never occur at all
         k_max = 50
-        chain = build_chain(mode, HALF, rate, k_max)
+        t = build_chain(mode, HALF, rate, k_max).matrix
         counts = self._transition_counts(
             mode, HALF, ArrivalRates(rate, rate), 200_000, 7, 2 * (k_max + 1)
         )
@@ -257,7 +329,7 @@ class TestAgainstSimulator:
         checked = 0
         for j in np.flatnonzero(visits >= 1000):
             for i in range(counts.shape[0]):
-                prob = chain.matrix[i, j]
+                prob = t[i, j]
                 if prob == 0.0:
                     assert counts[i, j] == 0
                     continue

@@ -53,7 +53,7 @@ def _names_used_in_code() -> set[str]:
 def test_walker_sees_the_package():
     found = _public_functions()
     assert ("model.advance_slot", "advance_slot") in found
-    assert ("oracle.TruncatedChain.index", "index") in found
+    assert ("oracle.TruncatedChain.matrix", "matrix") in found
     assert len(found) > 40
 
 
