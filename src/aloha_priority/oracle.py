@@ -18,6 +18,13 @@ homogeneity on buffers of several lengths, and ``TestChainEquality`` checks
 the dense kernel the blocks lay out, bit for bit, against one
 ``advance_slot`` call per level.
 
+A law on the chain's states is laid out as levels: row k of a
+``(k_max + 1, 2)`` array holds level k's mass in the normal and the reserved
+phase, the layout of :func:`aloha_priority.qbd.ds2_stationary`.
+``stationary`` returns that shape, and ``TruncatedChain.apply`` is the one
+product of the kernel with such a law; only the dense solve reads the n x n
+``matrix``.
+
 Truncation closes the chain by clamping the destination level at the cap
 (phase preserved), so columns still sum to 1.  With a geometric tail of ratio
 rho the truncation error at the cap K is of order rho^K; K = 200 at
@@ -49,7 +56,8 @@ class TruncatedChain:
     ``blocks[c, s, a, b]`` is the probability that a state of phase b in
     level class c (0: level 0, 1: levels 1 .. k_max - 1, 2: the cap k_max)
     moves s - 1 levels (s = 0 down, 1 same, 2 up) into phase a.  Level 0's
-    down block and the cap's up block are zero.
+    down block and the cap's up block are zero.  ``apply`` takes the kernel's
+    product with a law of shape (k_max + 1, 2) from these blocks alone.
     """
 
     k_max: int
@@ -59,13 +67,27 @@ class TruncatedChain:
         """Each level's (down, same, up) blocks, shape (k_max + 1, 3, 2, 2)."""
         return self.blocks[np.repeat([0, 1, 2], (1, self.k_max - 1, 1))]
 
+    def apply(self, levels: np.ndarray) -> np.ndarray:
+        """T v for a law v of shape (k_max + 1, 2), returned in that shape.
+
+        Row k of the result is what levels k - 1, k and k + 1 send to level
+        k in one slot; nothing n x n is formed.
+        """
+        # moved[s, k] is what level k sends s - 1 levels away
+        moved = np.einsum("ksab,kb->ska", self._by_level(), levels)
+        moved[1, :-1] += moved[0, 1:]
+        moved[1, 1:] += moved[2, :-1]
+        return moved[1]
+
     @property
     def matrix(self) -> np.ndarray:
         """The dense kernel, laid out anew on every read.
 
         Column stochastic: entry [2k + a, 2m + b] is P((m, b) -> (k, a)),
-        matching the orientation used by the QBD blocks.  Fortran order is
-        the layout ``numpy.linalg.solve`` copies its input into for LAPACK.
+        matching the orientation used by the QBD blocks, so the flattened
+        rows of a law are its state vector.  In the package only
+        ``stationary``'s dense solve reads it.  Fortran order is the layout
+        ``numpy.linalg.solve`` copies its input into for LAPACK.
         """
         n_levels = self.k_max + 1
         t = np.zeros((2 * n_levels, 2 * n_levels), order="F")
@@ -127,14 +149,15 @@ def build_chain(
 
 
 def stationary(chain: TruncatedChain) -> np.ndarray:
-    """Stationary vector of the truncated chain by dense linear solve.
+    """Stationary law of the truncated chain by dense linear solve.
 
-    Solves (T - I) x = 0 with the last equation replaced by normalisation,
-    formed in the fresh array ``chain.matrix`` returns, so the chain is not
-    touched.  The residual ||T x - x|| < 1e-12 is then checked level by
-    level from the blocks.  States that are merely transient (an empty-queue
-    reserved slot can be entered from nowhere) simply come out with
-    probability 0.
+    Returns levels: row k of the (k_max + 1, 2) array is level k's mass in
+    the normal and the reserved phase.  Solves (T - I) x = 0 with the last
+    equation replaced by normalisation, formed in the fresh array
+    ``chain.matrix`` returns, so the chain is not touched.  The residual
+    ||T x - x|| < 1e-12 is then checked with ``chain.apply``.  States that
+    are merely transient (an empty-queue reserved slot can be entered from
+    nowhere) simply come out with probability 0.
     """
     a = chain.matrix
     n = a.shape[0]
@@ -146,19 +169,15 @@ def stationary(chain: TruncatedChain) -> np.ndarray:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"stationary solve failed: {exc}") from exc
-    # T x by level: moved[s, k] is what level k sends s - 1 levels away
     levels = x.reshape(-1, 2)
-    moved = np.einsum("ksab,kb->ska", chain._by_level(), levels)
-    moved[1, :-1] += moved[0, 1:]
-    moved[1, 1:] += moved[2, :-1]
-    residual = float(np.max(np.abs(moved[1] - levels)))
+    residual = float(np.max(np.abs(chain.apply(levels) - levels)))
     if residual > 1e-12 or not np.isfinite(residual):
         raise SingularSystemError(
             f"stationary residual {residual} exceeds 1e-12; chain ill conditioned"
         )
-    return x
+    return levels
 
 
 def total_variation(x: np.ndarray, y: np.ndarray) -> float:
-    """Total variation distance between two vectors on the same state list."""
+    """Total variation distance between two laws of the same shape."""
     return 0.5 * float(np.sum(np.abs(x - y)))

@@ -36,17 +36,18 @@ def _check(name: str, value: float, threshold: float, passed: bool | None = None
 
 
 def ds1_analytic_vector(p: AccessProbabilities, l1: float, k_max: int) -> np.ndarray:
-    """Closed-form stationary law arranged on the oracle's state grid.
+    """Closed-form stationary law in the oracle's layout.
 
-    The grid is level-major, normal phase first: (pi_0, eps_0, pi_1, eps_1, ...).
+    Row k of the (k_max + 1, 2) array is (pi_k, eps_k), level k's mass in
+    the normal and the reserved phase.
     """
     ss = ds1_steady_state(p, l1)
-    return np.array([(ss.pi(k), ss.eps(k)) for k in range(k_max + 1)]).ravel()
+    return np.array([(ss.pi(k), ss.eps(k)) for k in range(k_max + 1)])
 
 
 def ds2_analytic_vector(p: AccessProbabilities, l2: float, k_max: int) -> np.ndarray:
-    """The matrix-geometric DS2 law on the same grid."""
-    return qbd.ds2_stationary(p, l2, k_max).ravel()
+    """The matrix-geometric DS2 law in the same layout."""
+    return qbd.ds2_stationary(p, l2, k_max)
 
 
 _ANALYTIC_VECTOR = {DominanceMode.DS1: ds1_analytic_vector, DominanceMode.DS2: ds2_analytic_vector}
@@ -62,16 +63,17 @@ def oracle_tv(mode: DominanceMode, p: AccessProbabilities, rate: float, k_max: i
 def local_balance_residual(mode: DominanceMode, p: AccessProbabilities, rate: float) -> float:
     """Stationarity residual of the closed form against the enumerated kernel.
 
-    The kernel is truncated at level 30.  Levels within two of that cap are
-    skipped: their inflow is distorted by the clamp, while every lower level
-    sees exactly the infinite chain's dynamics, so the closed form must
-    satisfy those equations to floating-point accuracy.
+    The kernel is truncated at level 30 and applied through its level blocks
+    (``TruncatedChain.apply``).  Levels within two of that cap are skipped:
+    their inflow is distorted by the clamp, while every lower level sees
+    exactly the infinite chain's dynamics, so the closed form must satisfy
+    those equations to floating-point accuracy.
     """
     k_max = 30
     chain = oracle.build_chain(mode, p, rate, k_max)
     analytic = _ANALYTIC_VECTOR[mode](p, rate, k_max)
-    residual = chain.matrix @ analytic - analytic
-    return float(np.max(np.abs(residual[: 2 * (k_max - 1)])))
+    residual = chain.apply(analytic) - analytic
+    return float(np.max(np.abs(residual[: k_max - 1])))
 
 
 def suite_ds1() -> list[CheckResult]:

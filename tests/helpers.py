@@ -215,9 +215,9 @@ def reference_stationary(t: np.ndarray) -> np.ndarray:
     """``oracle.stationary`` from the dense kernel T alone: T - I formed in a
     Fortran-ordered copy of T, and the residual taken densely.
 
-    The same system and normalisation row; the oracle, which lays its blocks
-    out as that system and takes the residual level by level, must return
-    the same vector, bit for bit.
+    The same system and normalisation row, and the same (k_max + 1, 2)
+    levels returned; the oracle, which lays its blocks out as that system
+    and takes the residual level by level, must return them bit for bit.
     """
     n = t.shape[0]
     a = np.array(t, order="F")
@@ -234,4 +234,4 @@ def reference_stationary(t: np.ndarray) -> np.ndarray:
         raise SingularSystemError(
             f"stationary residual {residual} exceeds 1e-12; chain ill conditioned"
         )
-    return x
+    return x.reshape(-1, 2)

@@ -17,11 +17,14 @@ import sympy
 from aloha_priority import qbd
 from aloha_priority.model import DominanceMode, Phase, ProtocolKind, slot_table
 from aloha_priority.stability import (
+    ds1_mu2,
     ds1_rho,
     ds1_steady_state,
     ds2_l2_limit,
     ds2_mu1,
     ds3_mu1,
+    ds3_mu2,
+    optimal_p2,
     priority_boundary,
 )
 
@@ -29,9 +32,21 @@ P1, P2, L1, L2, X = sympy.symbols("p1 p2 l1 l2 x")
 # qbd only reads p.p1 and p.p2, and AccessProbabilities would reject symbols
 SYMBOLIC_P = SimpleNamespace(p1=P1, p2=P2)
 
+# the two sides of the envelope's knee as images of u >= 0 and w > 0:
+# l1 = 1 / (3 + u) sweeps (0, 1/3] and l1 = (1 + w) / (3 + w) sweeps (1/3, 1)
+_U = sympy.Symbol("u", nonnegative=True)
+_W = sympy.Symbol("w", positive=True)
+BELOW_KNEE = {L1: 1 / (3 + _U)}
+ABOVE_KNEE = {L1: (1 + _W) / (3 + _W)}
+
 
 def _is_zero(expr) -> bool:
     return sympy.simplify(sympy.nsimplify(expr)) == 0
+
+
+def _on(expr, domain):
+    """``expr`` over a domain's symbols, factored so that sympy can read its sign."""
+    return sympy.factor(sympy.simplify(sympy.nsimplify(expr).subs(domain)))
 
 
 def test_closed_form_rate_matrix_solves_the_quadratic():
@@ -88,22 +103,29 @@ def test_ds1_stability_guard_is_the_region_l1_clause():
     assert _is_zero(gap - (ds3_mu1(P1, P2) - L1) * (1 + P1 * P2))
 
 
-def _envelope_branch(below_knee: bool):
-    """``priority_boundary`` as an expression in l1 on one side of l1 = 1/3.
+def _envelope_branch(below_knee: bool, fn=priority_boundary):
+    """``priority_boundary`` or ``optimal_p2`` as an expression in l1 on one
+    side of l1 = 1/3.
 
-    The symbol answers the range check as lying in [0, 1] and the branch
-    test as told, so the function returns that branch's formula.
+    l1 is an ``_InRange`` (below) that answers the range check as lying in
+    [0, 1], ``divisor``'s zero test as False, and each branch test as told:
+    ``l1 <= 1/3`` holds below the knee, and ``optimal_p2``'s
+    ``min(1, (1 - l1) / (2 l1))`` takes its second argument only above it
+    (``test_optimal_p2_branch_test_is_the_knee``).  The function then
+    returns that branch's formula.
     """
 
-    class OneSided(sympy.Symbol):
+    class OneSided(_InRange):
         def __ge__(self, other):  # 0 <= l1
             return True
 
         def __le__(self, other):  # l1 <= 1 and l1 <= 1/3
             return other == 1.0 or below_knee
 
-    side = OneSided("l1")
-    return sympy.nsimplify(priority_boundary(side).subs(side, L1))
+        def __lt__(self, other):  # (1 - l1) / (2 l1) < 1
+            return not below_knee
+
+    return sympy.nsimplify(_expr(fn(OneSided(L1))))
 
 
 def test_envelope_branches_meet_at_one_third_in_value_and_slope():
@@ -114,13 +136,101 @@ def test_envelope_branches_meet_at_one_third_in_value_and_slope():
     assert _is_zero(sympy.diff(left - right, L1).subs(L1, knee))
 
 
+def test_optimal_p2_branch_test_is_the_knee():
+    # _envelope_branch answers optimal_p2's min(1, (1 - l1) / (2 l1)) by
+    # side; (1 - l1) / (2 l1) - 1 = (1 - 3 l1) / (2 l1) bears it out
+    vertex = _envelope_branch(False, optimal_p2)
+    assert _is_zero(vertex - (1 - L1) / (2 * L1))
+    assert _on(vertex - 1, BELOW_KNEE).is_nonnegative
+    assert _on(1 - vertex, ABOVE_KNEE).is_positive
+    assert _envelope_branch(True, optimal_p2) == 1
+
+
+def test_ds1_region_peaks_at_the_envelope():
+    # ds3_mu1 grows with p1, so p1 = 1 is the loosest DS1 l1 clause; and
+    # ds1_mu2 does not read p1, so DS1's best l2 bound is max over p2 of ds1_mu2
+    assert _is_zero(sympy.diff(ds3_mu1(P1, P2), P1) - 1 / (1 + P1 * P2) ** 2)
+    bound = ds1_mu2(P2, L1)
+    assert P1 not in bound.free_symbols
+    # ds1_mu2 is concave in p2, so a zero slope inside (0, 1), or a
+    # nonnegative slope at p2 = 1, marks its maximum on (0, 1]
+    slope = sympy.diff(bound, P2)
+    assert _is_zero(slope - (1 - L1 - 2 * L1 * P2))
+    assert _is_zero(sympy.diff(slope, P2) + 2 * L1)
+    for below, domain in ((True, BELOW_KNEE), (False, ABOVE_KNEE)):
+        p2_star = _envelope_branch(below, optimal_p2)
+        if below:
+            assert _on(slope.subs(P2, 1), domain).is_nonnegative  # 1 - 3 l1
+        else:
+            assert _is_zero(slope.subs(P2, p2_star))
+            assert _on(p2_star, domain).is_positive
+        # the maximum is the envelope, and DS1's l1 clause holds at (1, p2*)
+        assert _is_zero(bound.subs(P2, p2_star) - _envelope_branch(below))
+        assert _on(ds3_mu1(1, p2_star) - L1, domain).is_positive
+
+
+def test_ds2_region_reaches_the_envelope_and_no_higher():
+    # DS2's l1 clause is l2 < ds2_l2_limit (test_ds2_clause_inverts; ds2_mu1
+    # falls with l2).  ds3_mu2 grows with p2 and ds2_l2_limit does not read
+    # p2, so at each p1 the DS2 bound min(ds3_mu2, ds2_l2_limit) is at most
+    # min(f, h), with f = ds3_mu2(p1, 1) and h = ds2_l2_limit(p1, l1), and
+    # equals it at p2 = 1
+    assert _is_zero(sympy.diff(ds3_mu2(P1, P2), P2) - (1 - P1) / (1 + P1 * P2) ** 2)
+    f, h = ds3_mu2(P1, 1), ds2_l2_limit(P1, L1)
+    assert P2 not in h.free_symbols
+    # f falls with p1; h rises up to the peak 2 l1 / (1 + l1) and falls after
+    assert _is_zero(sympy.diff(f, P1) + 2 / (1 + P1) ** 2)
+    peak = 2 * L1 / (1 + L1)
+    assert _is_zero(sympy.diff(h, P1) - (1 + L1) * (peak - P1) / P1**3)
+    # f and h cross at p1 = l1 / (1 - l1), both equal to 1 - 2 l1 there
+    cross = L1 / (1 - L1)
+    below, above = _envelope_branch(True), _envelope_branch(False)
+    assert _is_zero(f.subs(P1, cross) - below)
+    assert _is_zero(h.subs(P1, cross) - below)
+    # h's peak is the upper branch, and at the peak f - h has the sign of 3 l1 - 1
+    assert _is_zero(h.subs(P1, peak) - above)
+    gap = (f - h).subs(P1, peak)
+    assert _is_zero(gap - (1 - L1) * (1 + L1) * (3 * L1 - 1) / (4 * L1 * (3 * L1 + 1)))
+    # above the knee min(f, h) <= h <= h(peak), and f >= h at the peak: the
+    # maximum is the upper branch, at p1 = peak in (0, 1)
+    assert _on(gap, ABOVE_KNEE).is_positive
+    assert _on(1 - peak, ABOVE_KNEE).is_positive
+    # below the knee f < h at the peak, so the crossing lies left of it,
+    # where h still rises: h <= 1 - 2 l1 left of the crossing and f <= 1 - 2 l1
+    # right of it; the maximum is the lower branch, at p1 = cross in (0, 1)
+    assert _on(-gap, BELOW_KNEE).is_nonnegative
+    assert _on(peak - cross, BELOW_KNEE).is_nonnegative
+    assert _on(cross, BELOW_KNEE).is_positive
+    assert _on(1 - cross, BELOW_KNEE).is_positive
+
+
+def test_union_region_grid_maxima_meet_the_envelope():
+    # the certificates above, sampled: on a p-grid no point of either region
+    # bounds l2 above the envelope, DS2 alone comes within the grid's reach
+    # of it (slopes at most 2 times half the p1 step at the lower branch's
+    # kink), and DS1 reaches it at p = (1, optimal_p2)
+    p1 = np.linspace(0.0, 1.0, 2001)[1:, None]
+    p2 = np.linspace(0.0, 1.0, 501)[None, 1:]
+    for l1 in np.arange(1, 10) / 10:
+        envelope = priority_boundary(l1)
+        ds1 = np.where(l1 < ds3_mu1(p1, p2), ds1_mu2(p2, l1), 0.0).max()
+        ds2 = np.minimum(ds3_mu2(p1, p2), ds2_l2_limit(p1, l1)).max()
+        assert max(ds1, ds2) <= envelope + 1e-12, l1
+        assert ds2 >= envelope - 1e-3, l1
+        best = optimal_p2(l1)
+        assert l1 < ds3_mu1(1.0, best)
+        assert abs(ds1_mu2(best, l1) - envelope) < 1e-15, l1
+
+
 class _InRange:
     """A sympy expression that answers every comparison with False.
 
     ``ds1_steady_state`` guards its inputs with two comparisons: ``ds1_rho``'s
     ``den == 0.0``, through ``stability.divisor``, and its own ``rho >= 1``.
     A symbol cannot decide either; answered False, they let the function
-    return the stable law, its arithmetic kept symbolic.
+    return the stable law, its arithmetic kept symbolic.  Arithmetic keeps
+    the operand's class, so a subclass that answers otherwise
+    (``_envelope_branch``) keeps its answers through a whole formula.
     """
 
     def __init__(self, expr):
@@ -138,10 +248,10 @@ def _expr(value):
 
 def _lift(op):
     def forward(self, other):
-        return _InRange(op(self.expr, _expr(other)))
+        return type(self)(op(self.expr, _expr(other)))
 
     def reverse(self, other):
-        return _InRange(op(other, self.expr))
+        return type(self)(op(other, self.expr))
 
     return forward, reverse
 

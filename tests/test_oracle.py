@@ -29,7 +29,7 @@ from aloha_priority.oracle import (
 from aloha_priority.qbd import ds2_stationary, qbd_blocks, spectral_radius_closed_form
 from aloha_priority.simulate import SimulationConfig, run_trajectory
 from aloha_priority.stability import ds1_rho, ds1_steady_state, ds3_mu1, ds3_mu2
-from aloha_priority.verify import oracle_tv
+from aloha_priority.verify import local_balance_residual, oracle_tv
 
 HALF = AccessProbabilities(0.5, 0.5)
 SKEW = AccessProbabilities(0.3, 0.7)
@@ -174,6 +174,40 @@ class TestChainEquality:
         assert np.array_equal(x, reference_stationary(reference_chain(mode, p, 0.05, k_max)))
 
 
+class TestApply:
+    """T v from the level blocks, against the dense kernel's product."""
+
+    @pytest.mark.parametrize("k_max", [2, 30, 200])
+    @pytest.mark.parametrize("mode", [DominanceMode.DS1, DominanceMode.DS2])
+    def test_matches_the_dense_product(self, mode, k_max):
+        # the two sums run in different orders, so the last bits may differ
+        rng = np.random.default_rng(k_max)
+        for p, rate in ((HALF, 0.1), (SKEW, 0.2), (AccessProbabilities(1.0, 1.0), 0.3)):
+            chain = build_chain(mode, p, rate, k_max)
+            for _ in range(5):
+                v = rng.random((k_max + 1, 2))
+                tv = chain.apply(v)
+                assert tv.shape == v.shape
+                assert_allclose(tv, (chain.matrix @ v.ravel()).reshape(-1, 2), rtol=0, atol=2e-15)
+
+    def test_balance_residual_reads_no_dense_kernel(self, monkeypatch):
+        # the four suite_ds1 points and the residuals ``verify --suite ds1``
+        # prints for them
+        pinned = [
+            (AccessProbabilities(0.5, 0.5), 0.2, 8.673617379884035e-19),
+            (AccessProbabilities(1.0, 1.0), 0.3, 6.938893903907228e-18),
+            (AccessProbabilities(0.8, 0.6), 0.25, 1.1102230246251565e-16),
+            (AccessProbabilities(0.35, 0.9), 0.1, 1.1102230246251565e-16),
+        ]
+
+        def dense(chain):
+            raise AssertionError("the dense kernel was read")
+
+        monkeypatch.setattr(TruncatedChain, "matrix", property(dense))
+        for p, l1, value in pinned:
+            assert local_balance_residual(DominanceMode.DS1, p, l1) == value
+
+
 class TestStationary:
     def test_leaves_the_kernel_unchanged(self):
         chain = build_chain(DominanceMode.DS2, SKEW, 0.2, 40)
@@ -219,38 +253,32 @@ class TestStationary:
     def test_distribution_properties(self):
         chain = build_chain(DominanceMode.DS1, SKEW, 0.15, 60)
         x = stationary(chain)
+        assert x.shape == (61, 2)
         assert np.all(x >= -1e-14)
         assert abs(x.sum() - 1.0) < 1e-12
-        assert float(np.max(np.abs(chain.matrix @ x - x))) < 1e-12
+        v = x.ravel()
+        assert float(np.max(np.abs(chain.matrix @ v - v))) < 1e-12
 
     def test_unreachable_backoff_at_empty(self):
         # a reserved slot follows a collision, which needs the tracked queue
         # nonempty afterward; level 0 in phase OFF carries no mass
         for mode in (DominanceMode.DS1, DominanceMode.DS2):
             x = stationary(build_chain(mode, HALF, 0.1, 40))
-            assert abs(x[_at(0, Phase.BACKOFF)]) < 1e-12
+            assert abs(x[0, Phase.BACKOFF]) < 1e-12
 
     def test_ds1_matches_closed_form(self):
         for p, l1 in ((HALF, 0.1), (SKEW, 0.15)):
             k_max = 200
             x = stationary(build_chain(DominanceMode.DS1, p, l1, k_max))
             state = ds1_steady_state(p, l1)
-            analytic = np.zeros_like(x)
-            for k in range(k_max + 1):
-                analytic[_at(k, Phase.NORMAL)] = state.pi(k)
-                analytic[_at(k, Phase.BACKOFF)] = state.eps(k)
-            assert total_variation(x, analytic) < 1e-8
+            law = np.array([(state.pi(k), state.eps(k)) for k in range(k_max + 1)])
+            assert total_variation(x, law) < 1e-8
 
     def test_ds2_matches_closed_form(self):
         for p, l2 in ((HALF, 0.1), (SKEW, 0.2)):
             k_max = 200
             x = stationary(build_chain(DominanceMode.DS2, p, l2, k_max))
-            law = ds2_stationary(p, l2, k_max)
-            analytic = np.zeros_like(x)
-            for k in range(k_max + 1):
-                analytic[_at(k, Phase.NORMAL)] = law[k, 0]
-                analytic[_at(k, Phase.BACKOFF)] = law[k, 1]
-            assert total_variation(x, analytic) < 1e-8
+            assert total_variation(x, ds2_stationary(p, l2, k_max)) < 1e-8
 
     def test_total_variation(self):
         assert total_variation(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0

@@ -15,6 +15,10 @@ belongs in the body as a constant.  A call that spreads ``*args`` or
 
 Matching is by bare name (a class name stands for its ``__init__``), so both
 checks can only miss an unused function or parameter, never flag a used one.
+
+One design rule is checked the same way: outside ``oracle.py`` no module of
+the package reads an attribute named ``matrix``, so the oracle's dense
+kernel stays the input of its solve and nothing else.
 """
 
 import ast
@@ -61,6 +65,20 @@ def test_every_public_function_is_used_outside_tests():
     used = _names_used_in_code() | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     unused = [qualified for qualified, name in _public_functions() if name not in used]
     assert unused == []
+
+
+def test_only_the_oracle_reads_the_dense_kernel():
+    # every other module takes the kernel's products from its level blocks
+    # (``TruncatedChain.apply``), so the n x n array stays the solve's alone
+    readers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "matrix"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert readers == ["oracle.py"]
 
 
 def _defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
