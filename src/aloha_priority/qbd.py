@@ -30,7 +30,10 @@ builds them, give R of the same shape, one point per 2x2 slice.  A single
 point is a stack of one.  Each slice keeps its own stopping rule, and its R
 is bit for bit the one a lone solve of that point returns: numpy runs every
 2x2 slice of a stacked ``matmul`` through the same BLAS call as a lone 2x2
-``matmul``, and the remaining steps are elementwise.
+``matmul``, and the remaining steps are elementwise.  That holds batch by
+batch: the solver runs a batch of steps into one buffer before it looks
+for converged slices, and a slice's iterates are the same whichever batch and
+whichever neighbours they are computed with.
 
 Level 0 has no reserved-phase state in practice: OFF follows a collision,
 which needs queue 2 nonempty, and the resolving slot serves queue 1.  The
@@ -56,6 +59,10 @@ from .stability import divisor, ds2_mu1, ds3_mu2
 
 # the fixed point stops once no entry of R moves by this much in one step
 _TOL = 1e-12
+# a batch runs at most _BATCH_STEPS steps and holds about _BATCH_SLICES
+# iterates, so a large stack runs short batches and a lone point long ones
+_BATCH_STEPS = 64
+_BATCH_SLICES = 8192
 
 
 @dataclass(frozen=True)
@@ -130,6 +137,33 @@ def _inv2(m: np.ndarray, what: str) -> np.ndarray:
     return adjugate / det[..., None, None]
 
 
+def _batch(
+    m: np.ndarray, a0: np.ndarray, a2: np.ndarray, r: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``steps`` fixed-point steps from R = r on every slice of the stack.
+
+    Returns which slices settled (some step moved no entry by _TOL), each
+    settled slice's iterate at its first such step, and every slice's last
+    iterate.  The iterates share one buffer, written in place.
+    """
+    iterates = np.empty((steps + 1, *r.shape))
+    iterates[0] = r
+    square = np.empty_like(r)
+    inner = np.empty_like(r)
+    matmul, add = np.matmul, np.add
+    views = list(iterates)
+    for prev, nxt in zip(views, views[1:]):
+        matmul(prev, prev, square)
+        matmul(a0, square, inner)
+        add(a2, inner, inner)
+        matmul(m, inner, nxt)
+    change = np.diff(iterates, axis=0)
+    settled = np.abs(change, out=change).max(axis=(2, 3)) < _TOL
+    done = settled.any(axis=0)
+    first = settled.argmax(axis=0)[done] + 1
+    return done, iterates[first, np.flatnonzero(done)], iterates[-1].copy()
+
+
 def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     """Minimal nonnegative solution of A2 + (A1 - I) R + A0 R^2 = 0.
 
@@ -139,11 +173,14 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     and the closed form is available as a cross-check.
 
     The block arrays have shape (..., 2, 2) and R comes back in that shape.
-    Every slice stops on its own once no entry moves by _TOL in one step;
-    it is then stored and leaves the stack, so a slice's R does not depend
-    on its neighbours.  Each slice meets the same matmul and elementwise
-    arithmetic as in a lone solve, so its R is bit for bit the same.  Raises
-    NoConvergenceError if any slice is still moving after max_iter steps.
+    Every slice stops on its own at the first step that moves no entry by
+    _TOL, so a slice's R does not depend on its neighbours.  The steps run
+    in batches: each batch writes its iterates into one buffer, takes every
+    step's change at once, stores each slice's first iterate under _TOL and
+    drops the solved slices from the stack.  A slice meets the same matmul
+    and elementwise arithmetic in every batch as in a lone solve, so its R
+    is bit for bit the same.  No slice takes more than max_iter steps;
+    raises NoConvergenceError if any is still moving after them.
     """
     shape = blocks.a1.shape
     m = _inv2(np.eye(2) - blocks.a1, "I - A1").reshape(-1, 2, 2)
@@ -152,15 +189,13 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     solved = np.empty_like(m)
     active = np.arange(len(m))
     r = np.zeros_like(m)
-    for _ in range(max_iter):
-        if not active.size:
-            break
-        r_next = m @ (a2 + a0 @ (r @ r))
-        delta = abs(r_next - r).max(axis=(1, 2))
-        r = r_next
-        if delta.min() < _TOL:
-            done = delta < _TOL
-            solved[active[done]] = r[done]
+    taken = 0
+    while active.size and taken < max_iter:
+        steps = min(_BATCH_STEPS, max(1, _BATCH_SLICES // active.size), max_iter - taken)
+        done, settled, r = _batch(m, a0, a2, r, steps)
+        taken += steps
+        if done.any():
+            solved[active[done]] = settled
             moving = ~done
             active, m, a0, a2, r = active[moving], m[moving], a0[moving], a2[moving], r[moving]
     if active.size:
@@ -172,7 +207,8 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
 
 
 def balance_residual(blocks: QbdBlocks, r: np.ndarray) -> float:
-    """Largest entry of |A2 + (A1 - I) R + A0 R^2|; 0 for an exact rate matrix."""
+    """Largest entry of |A2 + (A1 - I) R + A0 R^2| over every slice of a stack;
+    0 for an exact rate matrix."""
     residual = blocks.a2 + (blocks.a1 - np.eye(2)) @ r + blocks.a0 @ (r @ r)
     return float(np.max(np.abs(residual)))
 

@@ -135,12 +135,24 @@ def _batch_rate(values: np.ndarray, base: np.ndarray) -> tuple[float, float]:
     return rate, float(ratios.std(ddof=1) / ratios.shape[0] ** 0.5)
 
 
-def _slope(lengths: np.ndarray) -> float:
-    """Least-squares slope of a length trajectory, in packets per slot."""
-    if lengths.shape[0] < 2:
-        return float("nan")
-    x = np.arange(lengths.shape[0], dtype=np.float64)
-    return float(np.polyfit(x, lengths, 1)[0])
+def _slopes(q1: np.ndarray, q2: np.ndarray) -> tuple[float, float]:
+    """Least-squares slopes of two equal-length queue-length trajectories,
+    in packets per slot.
+
+    Each is ``np.polyfit(x, q, 1)[0]`` to the bit: polyfit's scaled design
+    matrix is built once for both windows and each queue takes polyfit's own
+    ``lstsq`` call.  One two-column ``lstsq`` would round differently.
+    """
+    n = q1.shape[0]
+    if n < 2:
+        return float("nan"), float("nan")
+    lhs = np.vander(np.arange(n, dtype=np.float64), 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = n * np.finfo(np.float64).eps
+    return tuple(
+        float(np.linalg.lstsq(lhs, q + 0.0, rcond)[0][0] / scale[0]) for q in (q1, q2)
+    )
 
 
 def _verdict(lengths: np.ndarray, slope: float, total_slots: int) -> str:
@@ -218,7 +230,7 @@ def summarize(trajectory: Trajectory, config: SimulationConfig) -> SimulationMet
     mu2, se2 = _batch_rate(success2, every if forced2 else busy2)
     occ, occ_se = _batch_rate(trajectory.phase_start[w:], every)
 
-    drift1, drift2 = _slope(q1), _slope(q2)
+    drift1, drift2 = _slopes(q1, q2)
     return SimulationMetrics(
         delivered=(int(success1.sum()), int(success2.sum())),
         busy_slots=(int(busy1.sum()), int(busy2.sum())),

@@ -58,7 +58,7 @@ class EnvelopeComparison:
 def grid(step: float) -> np.ndarray:
     """The points 0, 1/n, ..., 1 for n = 1 / step, each the double i / n.
 
-    A step must lie in (0, 0.1], be no finer than 0.001 (a p-grid meshgrid of
+    A step must lie in (0, 0.1], be no finer than 0.001 (a p-grid plane of
     10^6 points) and divide 1 evenly; otherwise ValueError names the rule the
     step breaks.
     """
@@ -78,9 +78,12 @@ def envelope_at(l1: float, p1_grid: np.ndarray, p2_grid: np.ndarray):
     Queue-2-saturated clause (DS1): valid where l1 < mu1'', admits
     l2 < ds1_mu2.  Queue-1-saturated clause (DS2): admits l2 below both mu2''
     and the DS2 l1 condition solved for l2.  Ties resolve to the smallest
-    (p1, p2) in lexicographic order.
+    (p1, p2) in lexicographic order.  The grids enter as a column and a row,
+    so the one-coordinate clauses are evaluated once per grid value and only
+    the combined clauses span the (p1, p2) plane.
     """
-    pp1, pp2 = np.meshgrid(p1_grid, p2_grid, indexing="ij")
+    pp1 = np.asarray(p1_grid)[:, None]
+    pp2 = np.asarray(p2_grid)[None, :]
 
     value_a = ds1_mu2(pp2, l1)
     value_a = np.where((l1 < ds3_mu1(pp1, pp2)) & (value_a > 0.0), value_a, -np.inf)

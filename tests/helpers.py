@@ -5,7 +5,9 @@ by tests.
 The parsers invert :mod:`aloha_priority.reports` so tests can assert on
 emitted values; ``assemble`` lays the QBD blocks out as a truncated
 block-tridiagonal matrix for comparison with the enumerated oracle kernel;
-``reference_rate_matrix`` solves one point at a time with 2x2 arithmetic;
+``reference_fixed_point`` solves one point at a time with 2x2 arithmetic and
+counts its steps, and ``reference_rate_matrix`` keeps its R;
+``reference_envelope_at`` maximises the region clauses over a full meshgrid;
 ``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
 ``reference_trajectory`` replays a run with one ``advance_slot`` call per slot;
 ``reference_chain`` builds the oracle's dense kernel with one ``advance_slot``
@@ -37,7 +39,8 @@ from aloha_priority.model import (
     advance_slot,
 )
 from aloha_priority.qbd import _TOL, QbdBlocks
-from aloha_priority.simulate import SimulationConfig, Trajectory, _slope, _verdict
+from aloha_priority.simulate import SimulationConfig, Trajectory, _slopes, _verdict
+from aloha_priority.stability import ds1_mu2, ds2_l2_limit, ds3_mu1, ds3_mu2
 
 
 def _coerce(text: str) -> Any:
@@ -78,7 +81,7 @@ def parse_json_report(text: str) -> dict[str, Any]:
 def classify_stability(lengths: np.ndarray, total_slots: int | None = None) -> str:
     """The verdict ``simulate.summarize`` gives a queue with this trajectory."""
     total = lengths.shape[0] if total_slots is None else total_slots
-    return _verdict(lengths, _slope(lengths), total)
+    return _verdict(lengths, _slopes(lengths, lengths)[0], total)
 
 
 def assemble(blocks: QbdBlocks, n_levels: int) -> np.ndarray:
@@ -104,11 +107,12 @@ def assemble(blocks: QbdBlocks, n_levels: int) -> np.ndarray:
     return t
 
 
-def reference_rate_matrix(blocks: QbdBlocks) -> np.ndarray:
-    """``qbd.solve_rate_matrix`` for one point, as a loop over 2x2 matrices.
+def reference_fixed_point(blocks: QbdBlocks) -> tuple[np.ndarray, int]:
+    """``qbd.solve_rate_matrix`` for one point, as a loop over 2x2 matrices,
+    with the number of steps it took.
 
     The same fixed point, stopping rule and inverse; the stacked solver must
-    match it slice for slice, bit for bit.
+    match it slice for slice, bit for bit, and must stop after as many steps.
     """
     m = np.eye(2) - blocks.a1
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
@@ -117,13 +121,43 @@ def reference_rate_matrix(blocks: QbdBlocks) -> np.ndarray:
     m = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
     a0, a2 = blocks.a0, blocks.a2
     r = np.zeros((2, 2))
-    for _ in range(10**6):
+    for step in range(1, 10**6 + 1):
         r_next = m @ (a2 + a0 @ (r @ r))
         delta = np.max(np.abs(r_next - r))
         r = r_next
         if delta < _TOL:
-            return r
+            return r, step
     raise NoConvergenceError(f"rate-matrix iteration did not reach tol={_TOL}")
+
+
+def reference_rate_matrix(blocks: QbdBlocks) -> np.ndarray:
+    """The R of ``reference_fixed_point``."""
+    return reference_fixed_point(blocks)[0]
+
+
+def reference_envelope_at(l1: float, p1_grid: np.ndarray, p2_grid: np.ndarray):
+    """``sweep.envelope_at`` on a full meshgrid of the two p-grids.
+
+    Every clause is evaluated at every (p1, p2) pair; the broadcasting sweep
+    must return the same (value, p1, p2), ties included.
+    """
+    pp1, pp2 = np.meshgrid(p1_grid, p2_grid, indexing="ij")
+
+    value_a = ds1_mu2(pp2, l1)
+    value_a = np.where((l1 < ds3_mu1(pp1, pp2)) & (value_a > 0.0), value_a, -np.inf)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound_l1 = np.where(pp1 > 0.0, ds2_l2_limit(pp1, l1), -np.inf)
+    value_b = np.minimum(ds3_mu2(pp1, pp2), bound_l1)
+    value_b = np.where(value_b > 0.0, value_b, -np.inf)
+
+    combined = np.maximum(value_a, value_b)
+    flat = int(np.argmax(combined))
+    i, j = divmod(flat, combined.shape[1])
+    best = float(combined[i, j])
+    if not np.isfinite(best):
+        return 0.0, float(p1_grid[0]), float(p2_grid[0])
+    return best, float(p1_grid[i]), float(p2_grid[j])
 
 
 def reference_trajectory(config: SimulationConfig) -> Trajectory:

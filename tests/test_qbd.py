@@ -1,8 +1,10 @@
 """Rate-matrix machinery: blocks, solver, closed forms, stationary law."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import assemble, reference_rate_matrix
+from helpers import assemble, reference_fixed_point, reference_rate_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -16,6 +18,7 @@ from aloha_priority.errors import (
 )
 from aloha_priority.model import AccessProbabilities
 from aloha_priority.qbd import (
+    _BATCH_STEPS,
     ds2_pi0,
     ds2_service_rate_q1,
     ds2_service_rate_q1_series,
@@ -195,6 +198,52 @@ class TestStackedSolver:
         singular = qbd_blocks(AccessProbabilities(1.0, 0.5), 0.0)
         with pytest.raises(SingularBlockError, match="I - A1 is singular"):
             solve_rate_matrix(stack_blocks([stable, singular, stable]))
+
+
+# three points whose fixed points stop after 54, 131 and 671 steps: none a
+# multiple of the batch length, so each stops inside a batch
+_UNEVEN = [qbd_blocks(HALF, l2) for l2 in (0.1, 0.15, 0.19)]
+
+
+class TestBatchEdges:
+    """Where batches of steps end: a slice stops at its own step, and no
+    slice takes a step past max_iter."""
+
+    def test_uneven_steps(self):
+        steps = [reference_fixed_point(blocks)[1] for blocks in _UNEVEN]
+        assert len(set(steps)) == 3
+        assert all(n % _BATCH_STEPS for n in steps)
+
+    @pytest.mark.parametrize("blocks", _UNEVEN, ids=["l2=0.1", "l2=0.15", "l2=0.19"])
+    def test_lone_point_stops_at_max_iter(self, blocks):
+        r, n = reference_fixed_point(blocks)
+        assert np.array_equal(solve_rate_matrix(blocks, max_iter=n), r)
+        with pytest.raises(NoConvergenceError, match="in %d steps at 1 of 1 points" % (n - 1)):
+            solve_rate_matrix(blocks, max_iter=n - 1)
+
+    def test_stack_stops_at_max_iter(self):
+        reference = [reference_fixed_point(blocks) for blocks in _UNEVEN]
+        stack = stack_blocks(_UNEVEN)
+        longest = max(n for _, n in reference)
+        solved = solve_rate_matrix(stack, max_iter=longest)
+        for (r, _), slice_r in zip(reference, solved):
+            assert np.array_equal(slice_r, r)
+        for _, n in reference:
+            moving = sum(other >= n for _, other in reference)
+            with pytest.raises(NoConvergenceError, match=f"at {moving} of 3 points"):
+                solve_rate_matrix(stack, max_iter=n - 1)
+
+    def test_grid_solve_memory_is_bounded(self):
+        # the batch length shrinks as the stack grows: 1450 points run five
+        # steps a batch and peak near 1 MB, where a flat 64 would take 7 MB
+        stack = stack_blocks(_grid_blocks())
+        tracemalloc.start()
+        try:
+            solve_rate_matrix(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestSpectralRadius:

@@ -26,6 +26,7 @@ from aloha_priority.simulate import (
     UNSTABLE,
     SimulationConfig,
     Trajectory,
+    _slopes,
     run,
     run_trajectory,
 )
@@ -158,6 +159,37 @@ class TestClassifier:
         lengths = np.full(20_000, 5_000.0)
         verdict = classify_stability(lengths, total_slots=20_000)
         assert verdict == INCONCLUSIVE
+
+
+def _window(kind: str, n: int, seed: int) -> np.ndarray:
+    """An int64 length window of one shape: constant, zero, ramp or walk."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return np.full(n, int(rng.integers(1, 10**6)), dtype=np.int64)
+    if kind == "zero":
+        return np.zeros(n, dtype=np.int64)
+    if kind == "ramp":
+        return np.arange(n, dtype=np.int64) * int(rng.integers(-3, 4)) + int(rng.integers(0, 100))
+    return np.abs(np.cumsum(rng.integers(-1, 2, n), dtype=np.int64))
+
+
+_WINDOW_KIND = st.sampled_from(["constant", "zero", "ramp", "walk"])
+
+
+class TestSlopes:
+    """The drift of both queues, fitted on one shared design, against polyfit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 5000), _WINDOW_KIND, _WINDOW_KIND, st.integers(0, 2**32 - 1))
+    def test_bits_match_polyfit(self, n, kind1, kind2, seed):
+        q1, q2 = _window(kind1, n, seed), _window(kind2, n, seed + 1)
+        x = np.arange(n, dtype=np.float64)
+        expected = [float(np.polyfit(x, q, 1)[0]) for q in (q1, q2)]
+        assert np.array(_slopes(q1, q2)).tobytes() == np.array(expected).tobytes()
+
+    def test_one_slot_window_has_no_slope(self):
+        one = np.array([7], dtype=np.int64)
+        assert all(np.isnan(_slopes(one, one)))
 
 
 class TestDominanceCoupling:

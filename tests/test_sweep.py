@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from helpers import reference_envelope_at
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from aloha_priority.model import AccessProbabilities, ArrivalRates
@@ -60,6 +63,37 @@ class TestEnvelopeAt:
                 AccessProbabilities(p1, p2), ArrivalRates(float(l1), value * (1.0 + 1e-9))
             )
             assert not verdict.stable, (l1, value, p1, p2)
+
+
+def _p_grid(draw_values: list[float], with_zero: bool, with_one: bool) -> np.ndarray:
+    values = set(draw_values) | ({0.0} if with_zero else set()) | ({1.0} if with_one else set())
+    return np.array(sorted(values))
+
+
+# interior grid points stay above 1e-6: at p1 = 1e-160 the DS2 clause's
+# p1^2 denominator would overflow, which no grid of step >= 0.001 reaches
+_P_GRID = st.builds(
+    _p_grid,
+    st.lists(st.floats(1e-6, 1.0, exclude_max=True), min_size=1, max_size=60),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+class TestEnvelopeBroadcast:
+    """The broadcasting envelope against the full meshgrid, tuple for tuple."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), _P_GRID, _P_GRID)
+    def test_matches_meshgrid_reference(self, l1, p1_grid, p2_grid):
+        assume(len(p1_grid) != len(p2_grid))
+        assert envelope_at(l1, p1_grid, p2_grid) == reference_envelope_at(l1, p1_grid, p2_grid)
+
+    @pytest.mark.parametrize("l1", [0.1, 1.0 / 3.0, 0.5, 0.9])
+    def test_coarse_grid_ties_match(self, l1):
+        # a coarse grid makes many (p1, p2) cells share the maximum
+        p1_grid, p2_grid = np.arange(11) / 10, np.arange(6) / 5
+        assert envelope_at(l1, p1_grid, p2_grid) == reference_envelope_at(l1, p1_grid, p2_grid)
 
 
 class TestSweep:
