@@ -6,6 +6,15 @@ maximisation is an oracle for the closed-form envelope: it knows only the two
 region clauses, not the optimiser, so agreement is evidence the optimisation
 behind ``priority_boundary`` is right.
 
+The whole l1 grid goes through one ``envelope_at`` call.  mu1'' and mu2''
+do not depend on l1, so the (p1, p2) plane is evaluated once and reduced to
+its column maxima of mu1'' and row maxima of mu2''; each l1 then costs only
+work along one grid.  Three identities keep the result exact: "some p1 makes
+l1 < mu1''" is "l1 < the column maximum"; the row maximum of
+min(mu2'', b(p1)) is min(row maximum of mu2'', b(p1)); and the mask
+"positive, else -inf" is monotone, so it commutes with max.  Ties resolve to
+the first (p1, p2) cell in C order, as ``np.argmax`` over the plane would.
+
 A caveat discovered while validating: near l1 -> 1 the true envelope margin
 over the plain random-access curve shrinks like (1 - sqrt(l1))^3, faster than
 the p-grid resolution loss of order l1 * p_step^2, so the NUMERIC envelope
@@ -72,34 +81,67 @@ def grid(step: float) -> np.ndarray:
     return np.arange(n + 1) / n
 
 
-def envelope_at(l1: float, p1_grid: np.ndarray, p2_grid: np.ndarray):
-    """Max admitted l2 over the p-grid at one l1, with the argmax pair.
+def _positive(value):
+    """``value`` where it is positive, else -inf: a clause admitting no l2."""
+    return np.where(value > 0.0, value, -np.inf)
 
-    Queue-2-saturated clause (DS1): valid where l1 < mu1'', admits
-    l2 < ds1_mu2.  Queue-1-saturated clause (DS2): admits l2 below both mu2''
-    and the DS2 l1 condition solved for l2.  Ties resolve to the smallest
-    (p1, p2) in lexicographic order.  The grids enter as a column and a row,
-    so the one-coordinate clauses are evaluated once per grid value and only
-    the combined clauses span the (p1, p2) plane.
+
+def envelope_at(l1: float | np.ndarray, p1_grid: np.ndarray, p2_grid: np.ndarray):
+    """Max admitted l2 over the p-grid at each l1, with the argmax pair.
+
+    Queue-2-saturated clause (DS1, "A"): valid where l1 < mu1'', admits
+    l2 < ds1_mu2.  Queue-1-saturated clause (DS2, "B"): admits l2 below both
+    mu2'' and the DS2 l1 condition solved for l2.  A clause admitting no
+    positive l2 counts as -inf, and where no cell certifies anything the
+    result is (0, p1_grid[0], p2_grid[0]).
+
+    ``l1`` is a float, giving a tuple of floats, or a 1-D array, giving three
+    arrays of its length.  mu1'' and mu2'' do not depend on l1, so the plane
+    is evaluated once and each l1 costs only work along one grid.  Three
+    identities keep that exact: some row i has l1 < mu1''[i, j] exactly when
+    l1 < max_i mu1''[i, j]; the row maximum of min(mu2''[i, :], b_i) is
+    min(max_j mu2''[i, j], b_i); and the mask "positive, else -inf" is
+    monotone, so it commutes with max.
+
+    Ties resolve to the first cell in C order, as ``np.argmax`` over the
+    plane would: the first A cell scans mu1'' on the columns whose A value
+    equals the maximum, the first B cell scans the first row whose B maximum
+    equals it, and the earlier of the two wins.
     """
-    pp1 = np.asarray(p1_grid)[:, None]
-    pp2 = np.asarray(p2_grid)[None, :]
+    lambdas = np.atleast_1d(np.asarray(l1, dtype=float))[:, None]
+    p1s = np.asarray(p1_grid, dtype=float)
+    p2s = np.asarray(p2_grid, dtype=float)
+    mu1 = ds3_mu1(p1s[:, None], p2s[None, :])
+    mu2 = ds3_mu2(p1s[:, None], p2s[None, :])
 
-    value_a = ds1_mu2(pp2, l1)
-    value_a = np.where((l1 < ds3_mu1(pp1, pp2)) & (value_a > 0.0), value_a, -np.inf)
-
+    # (l1, p2): the A value of each column where some row makes it valid
+    value_a = ds1_mu2(p2s[None, :], lambdas)
+    value_a = np.where(lambdas < mu1.max(axis=0), _positive(value_a), -np.inf)
+    # (l1, p1): the DS2 bound of each row, then its best B value
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound_l1 = np.where(pp1 > 0.0, ds2_l2_limit(pp1, l1), -np.inf)
-    value_b = np.minimum(ds3_mu2(pp1, pp2), bound_l1)
-    value_b = np.where(value_b > 0.0, value_b, -np.inf)
+        bound_l1 = np.where(p1s > 0.0, ds2_l2_limit(p1s[None, :], lambdas), -np.inf)
+    row_b = _positive(np.minimum(mu2.max(axis=1), bound_l1))
 
-    combined = np.maximum(value_a, value_b)
-    flat = int(np.argmax(combined))
-    i, j = divmod(flat, combined.shape[1])
-    best = float(combined[i, j])
-    if not np.isfinite(best):
-        return 0.0, float(p1_grid[0]), float(p2_grid[0])
-    return best, float(p1_grid[i]), float(p2_grid[j])
+    best = np.maximum(value_a.max(axis=1), row_b.max(axis=1))
+    found = np.isfinite(best)
+    at_p1 = np.zeros(len(best), dtype=int)
+    at_p2 = np.zeros(len(best), dtype=int)
+    for k in np.flatnonzero(found):
+        cells = []
+        columns = np.flatnonzero(value_a[k] == best[k])
+        if len(columns):
+            i, jj = divmod(int(np.argmax(lambdas[k] < mu1[:, columns])), len(columns))
+            cells.append((i, int(columns[jj])))
+        i0 = int(np.argmax(row_b[k] == best[k]))
+        if row_b[k, i0] == best[k]:
+            row = _positive(np.minimum(mu2[i0], bound_l1[k, i0]))
+            cells.append((i0, int(np.argmax(row == best[k]))))
+        at_p1[k], at_p2[k] = min(cells)
+
+    values = np.where(found, best, 0.0)
+    if np.ndim(l1) == 0:
+        return float(values[0]), float(p1s[at_p1[0]]), float(p2s[at_p2[0]])
+    return values, p1s[at_p1], p2s[at_p2]
 
 
 def sweep(p_step: float = 0.01, lambda_step: float = 0.005) -> RegionDataset:
@@ -107,11 +149,7 @@ def sweep(p_step: float = 0.01, lambda_step: float = 0.005) -> RegionDataset:
     p_grid = grid(p_step)
     lambda1 = grid(lambda_step)[1:-1]
 
-    numeric = np.empty_like(lambda1)
-    a_p1 = np.empty_like(lambda1)
-    a_p2 = np.empty_like(lambda1)
-    for idx, l1 in enumerate(lambda1):
-        numeric[idx], a_p1[idx], a_p2[idx] = envelope_at(float(l1), p_grid, p_grid)
+    numeric, a_p1, a_p2 = envelope_at(lambda1, p_grid, p_grid)
 
     closed = np.array([priority_boundary(float(l1)) for l1 in lambda1])
     ra = np.array([ra_boundary(float(l1)) for l1 in lambda1])

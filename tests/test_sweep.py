@@ -96,6 +96,61 @@ class TestEnvelopeBroadcast:
         assert envelope_at(l1, p1_grid, p2_grid) == reference_envelope_at(l1, p1_grid, p2_grid)
 
 
+def _assert_each_matches_reference(lambdas, p1_grid, p2_grid):
+    values, p1s, p2s = envelope_at(lambdas, p1_grid, p2_grid)
+    assert values.shape == p1s.shape == p2s.shape == lambdas.shape
+    for k, l1 in enumerate(lambdas.tolist()):
+        expected = reference_envelope_at(l1, p1_grid, p2_grid)
+        assert (values[k], p1s[k], p2s[k]) == expected, (k, l1)
+
+
+class TestEnvelopeArray:
+    """An array of l1 against the one-l1 meshgrid reference, element by element."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=8),
+        _P_GRID,
+        _P_GRID,
+    )
+    def test_matches_reference_per_element(self, lambdas, p1_grid, p2_grid):
+        _assert_each_matches_reference(np.array(lambdas), p1_grid, p2_grid)
+
+    @pytest.mark.parametrize("d1", range(1, 13))
+    def test_tie_heavy_coarse_grids(self, d1):
+        # grids of step 1/d make many cells share the maximum, some of them
+        # in both clauses at once (d1 = 2, l1 = 0.35), and every grid holds
+        # a p1 = 0 row, where the DS2 bound divides by zero
+        for d2 in range(1, 13):
+            _assert_each_matches_reference(np.arange(1, 20) / 20, np.arange(d1 + 1) / d1,
+                                           np.arange(d2 + 1) / d2)
+
+    def test_zero_row_and_nothing_certified(self):
+        grid_ = np.arange(101) / 100
+        lambdas = np.array([0.1, 0.5, 0.995, 0.999])
+        _assert_each_matches_reference(lambdas, grid_, grid_)
+        values, p1s, p2s = envelope_at(lambdas, grid_, grid_)
+        assert values[0] > 0.0 and values[1] > 0.0
+        # the far right certifies nothing and falls back to the first cell
+        assert values[2:].tolist() == [0.0, 0.0]
+        assert p1s[2:].tolist() == p2s[2:].tolist() == [0.0, 0.0]
+
+    def test_float_is_the_length_one_case(self):
+        grid_ = np.arange(11) / 10
+        got = envelope_at(0.2, grid_, grid_)
+        assert all(type(x) is float for x in got)
+        values, p1s, p2s = envelope_at(np.array([0.2]), grid_, grid_)
+        assert got == (values[0], p1s[0], p2s[0])
+
+    def test_finest_sweep_matches_reference(self):
+        dataset = sweep(p_step=0.001)
+        p_grid = grid(0.001)
+        for idx in (0, 40, 66, 130, 198):
+            l1 = float(dataset.lambda1[idx])
+            got = (dataset.priority_numeric[idx], dataset.argmax_p1[idx], dataset.argmax_p2[idx])
+            assert got == reference_envelope_at(l1, p_grid, p_grid), l1
+
+
 class TestSweep:
     def test_grid_and_closed_columns(self, dataset):
         assert dataset.lambda1.shape == (199,)
