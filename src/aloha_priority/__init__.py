@@ -37,7 +37,6 @@ from .qbd import (
     solve_rate_matrix,
     spectral_radius,
     spectral_radius_closed_form,
-    stack_blocks,
 )
 from .simulate import (
     DEFAULT_SEED,

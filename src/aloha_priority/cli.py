@@ -17,6 +17,8 @@ import argparse
 import dataclasses
 import sys
 
+import numpy as np
+
 from . import qbd, reports, simulate, verify
 from .errors import AlohaError
 from .model import AccessProbabilities, ArrivalRates, DominanceMode, ProtocolKind, require_rate
@@ -118,12 +120,12 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
 def cmd_region(args: argparse.Namespace) -> int:
     p = AccessProbabilities(args.p1, args.p2)
-    rates = grid(args.lambda_step)[1:-1].tolist()
-    rows = []
-    for l1 in rates:
-        for l2 in rates:
-            verdict = union_region_contains(p, ArrivalRates(l1, l2))
-            rows.append([l1, l2, verdict.stable, verdict.binding or ""])
+    # one Python float per rate, which all of its rows share
+    rates = grid(args.lambda_step)[1:-1].astype(object)
+    l1, l2 = np.repeat(rates, len(rates)), np.tile(rates, len(rates))
+    verdict = union_region_contains(p, ArrivalRates(l1.astype(float), l2.astype(float)))
+    columns = (l1, l2, verdict.stable, verdict.binding)
+    rows = list(zip(*(c.tolist() for c in columns)))
     _write(
         reports.emit_table(["lambda1", "lambda2", "stable", "binding"], rows, args.format),
         args.out,

@@ -36,6 +36,8 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 
 class ProtocolKind(enum.Enum):
     FEEDBACK_PRIORITY = "feedback_priority"
@@ -79,20 +81,25 @@ class SystemState(NamedTuple):
 
 @dataclass(frozen=True)
 class AccessProbabilities:
-    """Per-slot transmission probabilities (p1, p2), each in [0, 1]."""
+    """Per-slot transmission probabilities (p1, p2), each in [0, 1].
+
+    Either field may be a numpy array, every entry of which must lie in
+    range: the closed forms evaluate a whole grid of points in one call.
+    """
 
     p1: float
     p2: float
 
     def __post_init__(self) -> None:
         for name, value in (("p1", self.p1), ("p2", self.p2)):
-            if not 0.0 <= value <= 1.0:
+            if not np.all((0.0 <= value) & (value <= 1.0)):
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def require_rate(name: str, value: float) -> None:
-    """The one arrival-rate rule: ValueError unless 0 < value < 1 (nan fails)."""
-    if not 0.0 < value < 1.0:
+    """The one arrival-rate rule: ValueError unless 0 < value < 1 (nan fails),
+    at every entry of an array."""
+    if not np.all((0.0 < value) & (value < 1.0)):
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
@@ -102,7 +109,8 @@ class ArrivalRates:
 
     Boundary values are excluded on purpose: the analytic expressions divide
     by (1 - l) terms, and a rate of 0 or 1 is not a queueing system worth a
-    verdict.  Grid code that wants the endpoints works with raw floats.
+    verdict.  Grid code that wants the endpoints works with raw floats.  As
+    in ``AccessProbabilities``, a field may be an array of rates.
     """
 
     l1: float

@@ -25,15 +25,21 @@ explicit elementwise form, and its spectral radius an explicit scalar form;
 the solver, the closed form, and the two radius routes are all exposed so
 they can be played against each other.
 
-The solver works on stacks: blocks of shape (..., 2, 2), as ``stack_blocks``
-builds them, give R of the same shape, one point per 2x2 slice.  A single
-point is a stack of one.  Each slice keeps its own stopping rule, and its R
-is bit for bit the one a lone solve of that point returns: numpy runs every
-2x2 slice of a stacked ``matmul`` through the same BLAS call as a lone 2x2
-``matmul``, and the remaining steps are elementwise.  That holds batch by
-batch: the solver runs a batch of steps into one buffer before it looks
-for converged slices, and a slice's iterates are the same whichever batch and
-whichever neighbours they are computed with.
+The closed forms and the solver work on stacks, one point per 2x2 slice:
+``qbd_blocks`` and ``rate_matrix_closed_form`` take arrays of p1, p2 and l2
+and return shape (..., 2, 2), and ``spectral_radius`` and the solver take
+that shape.  A single point is a stack of one.  Each slice of a closed form
+is bit for bit what a call with plain floats returns: the elementwise
+arithmetic is the same IEEE operations in the same order, and a root or a
+square of an array goes through ``np.float_power``, the libm ``pow`` that a
+float's ``**`` calls (numpy's own power and sqrt loops differ from it in the
+last bit at some inputs).  In the solver each slice keeps its own stopping
+rule, and its R is bit for bit the one a lone solve of that point returns:
+numpy runs every 2x2 slice of a stacked ``matmul`` through the same BLAS
+call as a lone 2x2 ``matmul``, and the remaining steps are elementwise.
+That holds batch by batch: the solver runs a batch of steps into one buffer
+before it looks for converged slices, and a slice's iterates are the same
+whichever batch and whichever neighbours they are computed with.
 
 Level 0 has no reserved-phase state in practice: OFF follows a collision,
 which needs queue 2 nonempty, and the resolving slot serves queue 1.  The
@@ -43,7 +49,6 @@ column of the assembled matrix is deficient and carries no stationary mass.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +83,18 @@ class QbdBlocks:
     a2: np.ndarray
 
 
+def _matrix(m00, m01, m10, m11) -> np.ndarray:
+    """The 2x2 matrices [[m00, m01], [m10, m11]] of broadcast entries, shape (..., 2, 2)."""
+    entries = np.broadcast_arrays(m00, m01, m10, m11)
+    return np.stack(entries, axis=-1).reshape(*entries[0].shape, 2, 2)
+
+
+def _pow(x, exponent: float):
+    """x ** exponent; on an array through ``np.float_power``, which gives the
+    doubles a float's ``**`` gives.  Anything else, sympy included, keeps ``**``."""
+    return np.float_power(x, exponent) if isinstance(x, np.ndarray) else x**exponent
+
+
 def qbd_blocks(p: AccessProbabilities, l2: float) -> QbdBlocks:
     """Transition blocks of the queue-2 chain for given access probabilities.
 
@@ -85,42 +102,16 @@ def qbd_blocks(p: AccessProbabilities, l2: float) -> QbdBlocks:
     queue-1 transmission with probability p1, a queue-2 transmission (when
     nonempty) with probability p2, and an arrival with probability l2 before
     either; an OFF slot serves queue 1 surely and only the arrival coin acts.
+    Arrays of p1, p2 and l2 give blocks of shape (..., 2, 2).
     """
     p1, p2 = p.p1, p.p2
-    b = np.array(
-        [
-            [(1.0 - l2) + l2 * (1.0 - p1) * p2, 0.0],
-            [0.0, 0.0],
-        ]
-    )
-    a0 = np.array(
-        [
-            [(1.0 - l2) * (1.0 - p1) * p2, 0.0],
-            [0.0, 0.0],
-        ]
-    )
-    a1 = np.array(
-        [
-            [l2 * p2 * (1.0 - p1) + (1.0 - l2) * (1.0 - p2), 1.0 - l2],
-            [(1.0 - l2) * p1 * p2, 0.0],
-        ]
-    )
-    a2 = np.array(
-        [
-            [l2 * (1.0 - p2), l2],
-            [l2 * p1 * p2, 0.0],
-        ]
-    )
-    return QbdBlocks(b=b, a0=a0, a1=a1, a2=a2)
-
-
-def stack_blocks(points: Sequence[QbdBlocks]) -> QbdBlocks:
-    """The blocks of many points as one QbdBlocks of (n, 2, 2) arrays."""
     return QbdBlocks(
-        b=np.stack([x.b for x in points]),
-        a0=np.stack([x.a0 for x in points]),
-        a1=np.stack([x.a1 for x in points]),
-        a2=np.stack([x.a2 for x in points]),
+        b=_matrix((1.0 - l2) + l2 * (1.0 - p1) * p2, 0.0, 0.0, 0.0),
+        a0=_matrix((1.0 - l2) * (1.0 - p1) * p2, 0.0, 0.0, 0.0),
+        a1=_matrix(
+            l2 * p2 * (1.0 - p1) + (1.0 - l2) * (1.0 - p2), 1.0 - l2, (1.0 - l2) * p1 * p2, 0.0
+        ),
+        a2=_matrix(l2 * (1.0 - p2), l2, l2 * p1 * p2, 0.0),
     )
 
 
@@ -219,49 +210,49 @@ def _down_rate(p: AccessProbabilities, l2: float) -> float:
 
 
 def rate_matrix_closed_form(p: AccessProbabilities, l2: float) -> np.ndarray:
-    """Explicit elementwise R; undefined where ``_down_rate`` is 0."""
+    """Explicit elementwise R, shape (..., 2, 2) for arrays of p1, p2 and l2;
+    undefined where ``_down_rate`` is 0 at any point."""
     p1, p2 = p.p1, p.p2
     d = _down_rate(p, l2)
     r_off = l2 * p1 / (1.0 - p1)
-    return np.array(
-        [
-            [l2 * (1.0 - p2 + p1 * p2) / d, l2 / d],
-            [r_off, r_off],
-        ]
-    )
+    return _matrix(l2 * (1.0 - p2 + p1 * p2) / d, l2 / d, r_off, r_off)
 
 
-def spectral_radius(r: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a 2x2 matrix via the trace/det quadratic.
+def spectral_radius(r: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue modulus of each 2x2 slice of r via the trace/det quadratic.
 
     For a nonnegative R the discriminant (r00 - r11)^2 + 4 r01 r10 is
     nonnegative, so both eigenvalues are real and no complex arithmetic is
-    needed; a negative one raises ComplexSpectrumError.
+    needed; a negative one raises ComplexSpectrumError.  Shape (..., 2, 2)
+    gives an array of shape (...); one 2x2 matrix gives a float.
     """
-    tr = r[0, 0] + r[1, 1]
-    det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
+    tr = r[..., 0, 0] + r[..., 1, 1]
+    det = r[..., 0, 0] * r[..., 1, 1] - r[..., 0, 1] * r[..., 1, 0]
     disc = tr * tr - 4.0 * det
-    if disc < 0.0:
+    negative = disc < 0.0
+    if np.any(negative):
+        first = np.ravel(disc)[np.argmax(negative)]
         raise ComplexSpectrumError(
-            f"complex eigenvalues (discriminant {disc}); not a nonnegative matrix"
+            f"complex eigenvalues (discriminant {first}); not a nonnegative matrix"
         )
-    root = disc**0.5
-    return max(abs(tr + root), abs(tr - root)) / 2.0
+    root = _pow(disc, 0.5)
+    return np.maximum(abs(tr + root), abs(tr - root)) / 2.0
 
 
-def spectral_radius_closed_form(p: AccessProbabilities, l2: float) -> float:
-    """Explicit scalar form of sp(R); same degeneracies as the closed-form R."""
+def spectral_radius_closed_form(p: AccessProbabilities, l2: float) -> float | np.ndarray:
+    """Explicit scalar form of sp(R), elementwise over arrays of p1, p2 and l2;
+    same degeneracies as the closed-form R."""
     p1, p2 = p.p1, p.p2
     disc = (
         1.0
         - 2.0 * p2
-        + p2**2
+        + _pow(p2, 2)
         + 4.0 * p1 * p2
         - 2.0 * l2 * p1 * p2
-        - 2.0 * l2 * p1 * p2**2
-        + l2**2 * p1**2 * p2**2
+        - 2.0 * l2 * p1 * _pow(p2, 2)
+        + _pow(l2, 2) * _pow(p1, 2) * _pow(p2, 2)
     )
-    num = l2 * (1.0 - p2 - l2 * p1 * p2 + 2.0 * p1 * p2 + disc**0.5)
+    num = l2 * (1.0 - p2 - l2 * p1 * p2 + 2.0 * p1 * p2 + _pow(disc, 0.5))
     return num / (2.0 * _down_rate(p, l2))
 
 

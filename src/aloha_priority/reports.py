@@ -37,6 +37,11 @@ def _json(value: Any) -> Any:
 
 
 def _render(value: Any) -> Any:
+    kind = type(value)
+    if kind is float:
+        return repr(value)
+    if kind is str or kind is int:
+        return value
     value = _py(value)
     if isinstance(value, float):
         return repr(value)

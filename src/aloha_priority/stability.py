@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateParameterError, UnstableParameterError
 from .model import AccessProbabilities, ArrivalRates
 
@@ -43,7 +45,8 @@ class RegionVerdict:
 
     ``binding`` names the first violated constraint when unstable, None when
     stable.  A point exactly on a boundary counts as unstable (the strict
-    inequality fails there).
+    inequality fails there).  For arrays of points ``stable`` is a bool array
+    and ``binding`` a str array, "" where stable.
     """
 
     stable: bool
@@ -128,9 +131,10 @@ def ds2_l2_limit(p1, l1):
 
 
 def divisor(value: float, expression: str) -> float:
-    """``value``, or DegenerateParameterError where it is 0 (underflow included):
-    a closed form is undefined exactly where something it divides by is 0."""
-    if value == 0.0:
+    """``value``, or DegenerateParameterError where it is 0 (underflow included)
+    at any entry: a closed form is undefined exactly where something it
+    divides by is 0."""
+    if np.any(value == 0.0):
         raise DegenerateParameterError(f"closed form divides by {expression} = 0")
     return value
 
@@ -178,45 +182,66 @@ def ds3_steady_state(p: AccessProbabilities) -> Ds3SteadyState:
     )
 
 
+# The region clauses, elementwise over arrays of points.  Each test returns
+# whether both of a dominant system's clauses hold and, where one fails, the
+# label of the first that does in the order that system tests them.
+
+
+def _both(first, first_label: str, second, second_label: str):
+    return first & second, np.where(first, second_label, first_label)
+
+
+def _ds1_test(p: AccessProbabilities, l: ArrivalRates):
+    """DS1: l1 < mu1'', then l2 < ds1_mu2."""
+    return _both(l.l1 < ds3_mu1(p.p1, p.p2), "l1", l.l2 < ds1_mu2(p.p2, l.l1), "l2")
+
+
+def _ds2_test(p: AccessProbabilities, l: ArrivalRates):
+    """DS2: l2 < mu2'', then l1 < ds2_mu1.
+
+    Where p1 = 1 the first clause fails (mu2'' = 0), so ds2_mu1's division
+    by 1 - p1 = 0 never decides a verdict; it runs on numpy floats, which
+    give inf or nan there in place of a ZeroDivisionError.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l1_clause = l.l1 < ds2_mu1(np.asarray(p.p1, dtype=float), l.l2)
+    return _both(l.l2 < ds3_mu2(p.p1, p.p2), "l2", l1_clause, "l1")
+
+
+def _verdict(stable, binding) -> RegionVerdict:
+    """A plain bool and str-or-None for one point; arrays for many."""
+    if np.ndim(stable) == 0:
+        return RegionVerdict(stable=bool(stable), binding=None if stable else str(binding))
+    return RegionVerdict(stable=stable, binding=np.where(stable, "", binding))
+
+
 def ds1_region_contains(p: AccessProbabilities, l: ArrivalRates) -> RegionVerdict:
     """Stability region certified by dominant system 1.
 
     (l1, l2) is inside iff l1 < p1 / (1 + p1 p2) and l2 < p2 (1 - l1 - l1 p2).
     """
-    if not l.l1 < ds3_mu1(p.p1, p.p2):
-        return RegionVerdict(stable=False, binding="l1")
-    if not l.l2 < ds1_mu2(p.p2, l.l1):
-        return RegionVerdict(stable=False, binding="l2")
-    return RegionVerdict(stable=True)
+    return _verdict(*_ds1_test(p, l))
 
 
 def ds2_region_contains(p: AccessProbabilities, l: ArrivalRates) -> RegionVerdict:
     """Stability region certified by dominant system 2.
 
-    The l2 clause l2 < p2 (1 - p1) / (1 + p1 p2) is checked first; it can
-    never hold at p1 = 1, which keeps the second clause's division by
-    (1 - p1) safe.
+    (l1, l2) is inside iff l2 < p2 (1 - p1) / (1 + p1 p2) and
+    l1 < p1 (1 - p1 - l2 p1) / (1 - p1); the first clause is tested first,
+    and it can never hold at p1 = 1.
     """
-    if not l.l2 < ds3_mu2(p.p1, p.p2):
-        return RegionVerdict(stable=False, binding="l2")
-    if not l.l1 < ds2_mu1(p.p1, l.l2):
-        return RegionVerdict(stable=False, binding="l1")
-    return RegionVerdict(stable=True)
+    return _verdict(*_ds2_test(p, l))
 
 
 def union_region_contains(p: AccessProbabilities, l: ArrivalRates) -> RegionVerdict:
     """Stability region at fixed p: the union of the two dominant-system regions.
 
     When both certificates fail, ``binding`` concatenates their individual
-    binding constraints.
+    binding constraints.  With arrays in ``p`` or ``l`` every point of their
+    broadcast is tested in one call.
     """
-    v1 = ds1_region_contains(p, l)
-    if v1.stable:
-        return RegionVerdict(stable=True)
-    v2 = ds2_region_contains(p, l)
-    if v2.stable:
-        return RegionVerdict(stable=True)
-    return RegionVerdict(stable=False, binding=f"ds1.{v1.binding},ds2.{v2.binding}")
+    (ds1, ds1_binding), (ds2, ds2_binding) = _ds1_test(p, l), _ds2_test(p, l)
+    return _verdict(ds1 | ds2, "ds1." + ds1_binding + ",ds2." + ds2_binding)
 
 
 def _require_unit_rate(l1: float) -> None:

@@ -110,34 +110,25 @@ def suite_qbd() -> list[CheckResult]:
     exact boundary hit, (0.25, 0.8, 0.5), where sp(R) = 1 and the fixed point
     cannot reach solver tolerance.  Stability equivalence is checked in both
     directions; the balance, solver and radius checks need a stable point.
-    The 1450 stable points form one stack of blocks: the solver takes it in
-    one call, which gives each point the R a call of its own would, and the
-    balance residual of the closed-form R is taken over it in one call too.
+    Each closed form, the solver and the balance residual take the whole
+    grid, or its 1450 stable points, in one call, and each point gets the
+    doubles a call of its own would.
     """
-    max_sp = 0.0
-    equivalence_ok = True
-    stable_blocks = []
-    stable_closed = []
     n = 20
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            p = AccessProbabilities(i / n, j / n)
-            bound = ds3_mu2(p.p1, p.p2)
-            for k in range(1, n):
-                l2 = k / n
-                if abs(l2 - bound) <= 1e-9:
-                    continue
-                r = qbd.rate_matrix_closed_form(p, l2)
-                sp = qbd.spectral_radius(r)
-                if (sp < 1.0) != (l2 < bound):
-                    equivalence_ok = False
-                if l2 >= bound:
-                    continue
-                max_sp = max(max_sp, abs(sp - qbd.spectral_radius_closed_form(p, l2)))
-                stable_blocks.append(qbd.qbd_blocks(p, l2))
-                stable_closed.append(r)
-    stack = qbd.stack_blocks(stable_blocks)
-    closed = np.stack(stable_closed)
+    axes = (np.arange(1, n) / n, np.arange(1, n + 1) / n, np.arange(1, n) / n)
+    p1, p2, l2 = (axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
+    bound = ds3_mu2(p1, p2)
+    kept = np.abs(l2 - bound) > 1e-9
+    p1, p2, l2, bound = p1[kept], p2[kept], l2[kept], bound[kept]
+    r = qbd.rate_matrix_closed_form(AccessProbabilities(p1, p2), l2)
+    sp = qbd.spectral_radius(r)
+    equivalence_ok = bool(np.all((sp < 1.0) == (l2 < bound)))
+    stable = l2 < bound
+    p = AccessProbabilities(p1[stable], p2[stable])
+    closed = r[stable]
+    sp_closed = qbd.spectral_radius_closed_form(p, l2[stable])
+    max_sp = float(np.max(np.abs(sp[stable] - sp_closed)))
+    stack = qbd.qbd_blocks(p, l2[stable])
     max_balance = qbd.balance_residual(stack, closed)
     solved = qbd.solve_rate_matrix(stack)
     max_solver = float(np.max(np.abs(solved - closed)))
@@ -225,12 +216,11 @@ def suite_containment() -> list[CheckResult]:
     above_ra = cmp.min_margin_closed_over_ra
     below_td = cmp.min_margin_td_over_closed
     columns = (dataset.lambda1, dataset.priority_numeric, dataset.argmax_p1, dataset.argmax_p2)
-    probes = [
-        (AccessProbabilities(p1, p2), ArrivalRates(l1, l2 * (1.0 - 1e-9)))
-        for l1, l2, p1, p2 in zip(*(c.tolist() for c in columns))
-        if l2 > 0.0
-    ]
-    all_stable = all(union_region_contains(p, l).stable for p, l in probes)
+    l1, l2, p1, p2 = (c[dataset.priority_numeric > 0.0] for c in columns)
+    probes = union_region_contains(
+        AccessProbabilities(p1, p2), ArrivalRates(l1, l2 * (1.0 - 1e-9))
+    )
+    all_stable = bool(np.all(probes.stable))
     return [
         _check("containment numeric vs closed-form envelope", cmp.max_abs_deviation, 0.02),
         _check("containment closed-form envelope above ra", above_ra, 0.0, above_ra > 0.0),

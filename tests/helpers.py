@@ -5,8 +5,13 @@ by tests.
 The parsers invert :mod:`aloha_priority.reports` so tests can assert on
 emitted values; ``assemble`` lays the QBD blocks out as a truncated
 block-tridiagonal matrix for comparison with the enumerated oracle kernel;
+``stack_blocks`` stacks the blocks of separate points into one QbdBlocks;
 ``reference_fixed_point`` solves one point at a time with 2x2 arithmetic and
 counts its steps, and ``reference_rate_matrix`` keeps its R;
+``reference_region_rows`` and ``reference_qbd_grid`` walk the ``region`` and
+``verify --suite qbd`` grids one point at a time with plain floats, and
+``reference_spectral_radius`` takes one matrix's radius with a numpy
+scalar's ``** 0.5``;
 ``reference_envelope_at`` maximises the region clauses over a full meshgrid;
 ``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
 ``reference_trajectory`` replays a run with one ``advance_slot`` call per slot;
@@ -38,9 +43,15 @@ from aloha_priority.model import (
     SystemState,
     advance_slot,
 )
-from aloha_priority.qbd import _TOL, QbdBlocks
+from aloha_priority.qbd import (
+    _TOL,
+    QbdBlocks,
+    qbd_blocks,
+    rate_matrix_closed_form,
+    spectral_radius_closed_form,
+)
 from aloha_priority.simulate import SimulationConfig, Trajectory, _slopes, _verdict
-from aloha_priority.stability import ds1_mu2, ds2_l2_limit, ds3_mu1, ds3_mu2
+from aloha_priority.stability import ds1_mu2, ds2_l2_limit, ds2_mu1, ds3_mu1, ds3_mu2
 
 
 def _coerce(text: str) -> Any:
@@ -105,6 +116,86 @@ def assemble(blocks: QbdBlocks, n_levels: int) -> np.ndarray:
         if k + 1 < n_levels:
             t[r + 2 : r + 4, r : r + 2] = blocks.a2
     return t
+
+
+def stack_blocks(points: list[QbdBlocks]) -> QbdBlocks:
+    """The blocks of many points as one QbdBlocks of (n, 2, 2) arrays."""
+    return QbdBlocks(
+        b=np.stack([x.b for x in points]),
+        a0=np.stack([x.a0 for x in points]),
+        a1=np.stack([x.a1 for x in points]),
+        a2=np.stack([x.a2 for x in points]),
+    )
+
+
+def _reference_verdict(p1: float, p2: float, l1: float, l2: float) -> tuple[bool, str]:
+    """The union-region verdict at one point in plain-float branches:
+    (stable, binding), the binding "" where stable.
+
+    DS1 tests l1 < mu1'' and then l2 < ds1_mu2; DS2 tests l2 < mu2'' and
+    then l1 < ds2_mu1, which it never reaches at p1 = 1.
+    """
+    if not l1 < ds3_mu1(p1, p2):
+        ds1 = "l1"
+    elif not l2 < ds1_mu2(p2, l1):
+        ds1 = "l2"
+    else:
+        return True, ""
+    if not l2 < ds3_mu2(p1, p2):
+        ds2 = "l2"
+    elif not l1 < ds2_mu1(p1, l2):
+        ds2 = "l1"
+    else:
+        return True, ""
+    return False, f"ds1.{ds1},ds2.{ds2}"
+
+
+def reference_region_rows(p: AccessProbabilities, rates: list[float]) -> list[list[Any]]:
+    """The rows of ``region`` as one verdict per (l1, l2) pair of the rate
+    grid, l1 outer: [l1, l2, stable, binding].  The command, which tests the
+    whole grid in one call, must give the same rows."""
+    return [
+        [l1, l2, *_reference_verdict(p.p1, p.p2, l1, l2)] for l1 in rates for l2 in rates
+    ]
+
+
+def reference_spectral_radius(r: np.ndarray) -> np.float64:
+    """sp of one 2x2 matrix by the trace/det quadratic, the root taken as the
+    numpy scalar's ``** 0.5``; ``qbd.spectral_radius`` must match it on
+    every slice of a stack."""
+    tr = r[0, 0] + r[1, 1]
+    det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
+    root = (tr * tr - 4.0 * det) ** 0.5
+    return max(abs(tr + root), abs(tr - root)) / 2.0
+
+
+def reference_qbd_grid() -> list[dict[str, Any]]:
+    """``verify.suite_qbd``'s grid of (p1, p2, l2) = (i, j, k) / 20 as a loop
+    over its points, each closed form called with plain floats.
+
+    One dict per point not within 1e-9 of the queue-2 bound, in (i, j, k)
+    order: p1, p2, l2, whether l2 lies below the bound, the blocks, the
+    closed-form R, its ``reference_spectral_radius`` and, at stable points,
+    ``spectral_radius_closed_form``.
+    """
+    points = []
+    n = 20
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            p = AccessProbabilities(i / n, j / n)
+            bound = ds3_mu2(p.p1, p.p2)
+            for k in range(1, n):
+                l2 = k / n
+                if abs(l2 - bound) <= 1e-9:
+                    continue
+                r = rate_matrix_closed_form(p, l2)
+                stable = l2 < bound
+                points.append({
+                    "p1": p.p1, "p2": p.p2, "l2": l2, "stable": stable,
+                    "blocks": qbd_blocks(p, l2), "r": r, "sp": reference_spectral_radius(r),
+                    "sp_closed": spectral_radius_closed_form(p, l2) if stable else None,
+                })
+    return points
 
 
 def reference_fixed_point(blocks: QbdBlocks) -> tuple[np.ndarray, int]:

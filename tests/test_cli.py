@@ -9,8 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from helpers import parse_csv_report, parse_csv_table, parse_json_report, parse_json_table
+from helpers import (
+    parse_csv_report,
+    parse_csv_table,
+    parse_json_report,
+    parse_json_table,
+    reference_region_rows,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +61,17 @@ class TestSerialization:
         _, rows = parse_csv_table(text)
         assert rows == [[1], [0]]
         assert json.loads(reports.emit_table(["flag"], [[True]], "json"))["rows"] == [[1]]
+
+    def test_render_keeps_every_type_rule(self):
+        # plain floats, ints and strings take the fast path; bools still
+        # become ints and numpy scalars still collapse to plain values
+        cases = [
+            (0.1, "0.1"), (np.float64(1 / 3), repr(1 / 3)), (7, 7), (np.int64(7), 7),
+            ("text", "text"), (True, 1), (np.True_, 1), (False, 0),
+        ]
+        for value, rendered in cases:
+            assert reports._render(value) == rendered, value
+            assert type(reports._render(value)) is type(rendered), value
 
     def test_rejects(self):
         with pytest.raises(ValueError):
@@ -111,6 +129,15 @@ class TestRegion:
             verdict = union_region_contains(HALF, ArrivalRates(l1, l2))
             assert stable == int(verdict.stable)
             assert binding == (verdict.binding or "")
+
+    @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (0.5, 0.5), (1.0, 0.5), (0.3, 1.0)])
+    def test_rows_match_the_scalar_loop(self, capsys, p1, p2):
+        code, out, _ = _run(capsys, ["region", "--p1", str(p1), "--p2", str(p2)])
+        assert code == 0
+        rates = (np.arange(1, 100) / 100).tolist()
+        expected = [[l1, l2, int(stable), binding] for l1, l2, stable, binding
+                    in reference_region_rows(AccessProbabilities(p1, p2), rates)]
+        assert parse_csv_table(out)[1] == expected
 
 
 class TestSweepCommand:
@@ -448,6 +475,9 @@ class TestClosedFormBytes:
          "eb19b2b809a009bb294f5eae3eb76e34fb901e7c9f70c7a57ef7bdc8cad8655f"),
         ("region --p1 1 --p2 1 --lambda-step 0.05",
          "13f34087af30f013e46edf2e97c496263287262e9de2d71b648eeae184b73434"),
+        # json goes through reports._json, not the csv path's _render
+        ("region --p1 0.5 --p2 0.5 --lambda-step 0.05 --format json",
+         "9ae2a6a5653a89e9ee9a61e8c65cc38e5547aa57d193e8cb7a6252968d12c271"),
         ("sweep --p-step 0.05 --lambda-step 0.05",
          "405253c8d6418fecbe26535a1f7c6ebbcddcabe431703de893b0f4a74ed5e093"),
         ("boundary --scheme priority",
@@ -531,6 +561,10 @@ class TestClosedFormBytes:
          "dd29383af35d93556bce05efb1cb6cb43df54a45fcd56ec856f3116373cb70c5"),
         ("verify --suite ds1 --format json",
          "4a009ae015d2a47a938d272eeafdc4a7f7391b21d15bc27966e68ee27e5c22fc"),
+        ("verify --suite qbd --format json",
+         "2dbd933201890db07f28a215eb1581788e997747d6364bfccb6351319bc738ce"),
+        ("verify --suite containment --format json",
+         "1c9a2fd2195d252d39a7f6dbc20d2a85a112065a5857b9663a6f026779f8dad7"),
     ]
 
     @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])

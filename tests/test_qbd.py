@@ -4,7 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import assemble, reference_fixed_point, reference_rate_matrix
+from helpers import (
+    assemble,
+    reference_fixed_point,
+    reference_qbd_grid,
+    reference_rate_matrix,
+    reference_spectral_radius,
+    stack_blocks,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -28,7 +35,6 @@ from aloha_priority.qbd import (
     solve_rate_matrix,
     spectral_radius,
     spectral_radius_closed_form,
-    stack_blocks,
 )
 from aloha_priority.stability import ds3_mu2
 
@@ -347,3 +353,69 @@ class TestServiceRate:
             ds2_service_rate_q1(AccessProbabilities(1.0, 0.5), 0.1)
         with pytest.raises(UnstableParameterError):
             ds2_service_rate_q1(HALF, 0.3)
+
+
+class TestArrayClosedForms:
+    # verify --suite qbd takes each closed form over its whole grid in one
+    # call; every slice must hold the doubles the one-point loop gives
+    @pytest.fixture(scope="class")
+    def grid(self):
+        points = reference_qbd_grid()
+        p1, p2, l2 = (np.array([x[key] for x in points]) for key in ("p1", "p2", "l2"))
+        return points, AccessProbabilities(p1, p2), l2
+
+    def test_blocks_match_the_scalar_loop(self, grid):
+        points, p, l2 = grid
+        blocks = qbd_blocks(p, l2)
+        for name in ("b", "a0", "a1", "a2"):
+            expected = np.stack([getattr(x["blocks"], name) for x in points])
+            assert np.array_equal(getattr(blocks, name), expected), name
+
+    def test_rate_matrix_and_radius_match_the_scalar_loop(self, grid):
+        points, p, l2 = grid
+        r = rate_matrix_closed_form(p, l2)
+        assert np.array_equal(r, np.stack([x["r"] for x in points]))
+        assert np.array_equal(spectral_radius(r), [x["sp"] for x in points])
+        # one matrix at a time, as analyze qbd and the ladder call it
+        assert all(spectral_radius(x["r"]) == x["sp"] for x in points[::37])
+
+    def test_closed_form_radius_matches_the_scalar_loop(self, grid):
+        points, p, l2 = grid
+        stable = np.array([x["stable"] for x in points])
+        assert stable.sum() == 1450
+        sp = spectral_radius_closed_form(
+            AccessProbabilities(p.p1[stable], p.p2[stable]), l2[stable]
+        )
+        assert np.array_equal(sp, [x["sp_closed"] for x in points if x["stable"]])
+
+    def test_radius_of_random_stacks_matches_one_matrix_at_a_time(self):
+        # the root's last bit: numpy's sqrt or power loops differ from the
+        # numpy scalar's ** 0.5 on about one input in a thousand
+        r = np.random.default_rng(409).random((20_000, 2, 2))
+        expected = [reference_spectral_radius(m) for m in r]
+        assert np.array_equal(spectral_radius(r), expected)
+
+    def test_closed_form_radius_of_random_points_matches_one_point_at_a_time(self):
+        # plain floats take ** (libm pow) for the squares and the root; the
+        # arrays must give the same doubles
+        rng = np.random.default_rng(419)
+        p1, p2 = rng.uniform(0.0, 0.95, 20_000), rng.uniform(0.05, 1.0, 20_000)
+        l2 = rng.uniform(0.01, 0.99, 20_000) * ds3_mu2(p1, p2)
+        sp = spectral_radius_closed_form(AccessProbabilities(p1, p2), l2)
+        expected = [
+            spectral_radius_closed_form(AccessProbabilities(a, b), c)
+            for a, b, c in zip(p1.tolist(), p2.tolist(), l2.tolist())
+        ]
+        assert np.array_equal(sp, expected)
+
+    def test_any_zero_divisor_rejects_the_array(self):
+        p = AccessProbabilities(np.array([0.5, 1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(DegenerateParameterError, match=r"^closed form divides by"):
+            rate_matrix_closed_form(p, np.array([0.1, 0.1]))
+        with pytest.raises(DegenerateParameterError):
+            spectral_radius_closed_form(p, 0.1)
+
+    def test_any_negative_discriminant_rejects_the_stack(self):
+        r = np.array([[[0.5, 0.1], [0.1, 0.5]], [[0.0, -1.0], [1.0, 0.0]]])
+        with pytest.raises(ComplexSpectrumError, match="discriminant -4.0"):
+            spectral_radius(r)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import reference_region_rows
 from numpy.testing import assert_allclose
 
 from aloha_priority import qbd
@@ -276,3 +277,40 @@ class TestRegionMonotonicity:
         smaller = ArrivalRates(data.draw(_at_most(l1)), data.draw(_at_most(l2)))
         if union_region_contains(p, ArrivalRates(l1, l2)).stable:
             assert union_region_contains(p, smaller).stable
+
+
+class TestArrayRegion:
+    # the region command and the containment probes test a whole grid in one
+    # call; every verdict and binding must be the one the plain-float
+    # branches give at that point
+    RATES = (np.arange(1, 100) / 100).tolist()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(p1=_PROB, p2=_PROB)
+    def test_grid_matches_the_scalar_branches(self, p1, p2):
+        p = AccessProbabilities(p1, p2)
+        rows = reference_region_rows(p, self.RATES)
+        l1, l2 = (np.array(column) for column in list(zip(*rows))[:2])
+        verdict = union_region_contains(p, ArrivalRates(l1, l2))
+        assert verdict.stable.dtype == bool
+        assert verdict.stable.tolist() == [row[2] for row in rows]
+        assert verdict.binding.tolist() == [row[3] for row in rows]
+        for row in rows[::97]:  # one point at a time, as perfbench and library callers do
+            one = union_region_contains(p, ArrivalRates(row[0], row[1]))
+            assert (one.stable, one.binding or "") == (row[2], row[3])
+            assert type(one.stable) is bool
+
+    def test_each_system_takes_arrays(self):
+        p = AccessProbabilities(np.array([0.5, 0.5, 1.0]), np.array([0.5, 0.5, 0.9]))
+        l = ArrivalRates(np.array([0.1, 0.5, 0.1]), np.array([0.1, 0.01, 0.05]))
+        ds1, ds2 = ds1_region_contains(p, l), ds2_region_contains(p, l)
+        assert ds1.stable.tolist() == [True, False, True]
+        assert ds1.binding.tolist() == ["", "l1", ""]
+        assert ds2.stable.tolist() == [True, False, False]
+        assert ds2.binding.tolist() == ["", "l1", "l2"]
+
+    def test_model_types_check_every_entry(self):
+        with pytest.raises(ValueError, match="l2 must lie in"):
+            ArrivalRates(np.array([0.1, 0.2]), np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="p1 must lie in"):
+            AccessProbabilities(np.array([0.0, np.nan]), 0.5)
