@@ -30,6 +30,11 @@ def _py(value: Any) -> Any:
 
 def _json(value: Any) -> Any:
     """``_py``, with a non-finite float as null."""
+    kind = type(value)
+    if kind is float:
+        return value if math.isfinite(value) else None
+    if kind is str or kind is int:
+        return value
     value = _py(value)
     if isinstance(value, float) and not math.isfinite(value):
         return None

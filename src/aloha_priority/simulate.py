@@ -142,16 +142,29 @@ def _slopes(q1: np.ndarray, q2: np.ndarray) -> tuple[float, float]:
     Each is ``np.polyfit(x, q, 1)[0]`` to the bit: polyfit's scaled design
     matrix is built once for both windows and each queue takes polyfit's own
     ``lstsq`` call.  One two-column ``lstsq`` would round differently.
+
+    The design is built in place in one Fortran-ordered ``(n, 2)`` array, the
+    column layout ``lstsq`` copies into for LAPACK.  Column 1 first holds the
+    running sum of x²: polyfit's ``(lhs * lhs).sum(axis=0)`` adds the rows of
+    its C-ordered design in order, so the norm is that sum's last element,
+    not numpy's pairwise ``np.sum(x * x)``, which differs at n = 990000.
+    Then column 1 takes polyfit's ``1 / sqrt(n)``.  ``lstsq`` casts the int
+    windows itself, to the doubles polyfit's ``q + 0.0`` gives.
     """
     n = q1.shape[0]
     if n < 2:
         return float("nan"), float("nan")
-    lhs = np.vander(np.arange(n, dtype=np.float64), 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
+    lhs = np.empty((n, 2), order="F")
+    x, const = lhs[:, 0], lhs[:, 1]
+    x[:] = np.arange(n)
+    np.multiply(x, x, out=const)
+    np.cumsum(const, out=const)
+    scale = np.sqrt(const[-1])
+    x /= scale
+    const[:] = 1.0 / np.sqrt(n)
     rcond = n * np.finfo(np.float64).eps
     return tuple(
-        float(np.linalg.lstsq(lhs, q + 0.0, rcond)[0][0] / scale[0]) for q in (q1, q2)
+        float(np.linalg.lstsq(lhs, q, rcond)[0][0] / scale) for q in (q1, q2)
     )
 
 

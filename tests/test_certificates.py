@@ -26,6 +26,8 @@ from aloha_priority.stability import (
     ds3_mu2,
     optimal_p2,
     priority_boundary,
+    ra_boundary,
+    td_boundary,
 )
 
 P1, P2, L1, L2, X = sympy.symbols("p1 p2 l1 l2 x")
@@ -38,6 +40,12 @@ _U = sympy.Symbol("u", nonnegative=True)
 _W = sympy.Symbol("w", positive=True)
 BELOW_KNEE = {L1: 1 / (3 + _U)}
 ABOVE_KNEE = {L1: (1 + _W) / (3 + _W)}
+# s = sqrt(l1) on each side, as images of w > 0 over a range that holds the
+# side: s = 2 / (3 + w) sweeps (0, 2/3), past 1/sqrt(3) as 1/3 < 4/9, and
+# s = 1 / (1 + w) sweeps (0, 1)
+_S = sympy.Symbol("s", positive=True)
+S_BELOW_KNEE = {_S: 2 / (3 + _W)}
+S_ABOVE_KNEE = {_S: 1 / (1 + _W)}
 
 
 def _is_zero(expr) -> bool:
@@ -220,6 +228,32 @@ def test_union_region_grid_maxima_meet_the_envelope():
         best = optimal_p2(l1)
         assert l1 < ds3_mu1(1.0, best)
         assert abs(ds1_mu2(best, l1) - envelope) < 1e-15, l1
+
+
+def test_priority_envelope_lies_strictly_between_ra_and_td():
+    # the paper's headline containment: on each side of the knee the
+    # feedback-priority envelope lies strictly above conventional random
+    # access and strictly below time division.  ra_boundary reads sqrt(l1),
+    # so its gap is factored in s with l1 = s**2
+    assert sympy.Rational(1, 3) < sympy.Rational(2, 3) ** 2
+    sides = (
+        (True, _S * (2 - 3 * _S), L1, S_BELOW_KNEE, BELOW_KNEE),
+        (
+            False,
+            (1 - _S) ** 3 * (1 + 3 * _S) / (4 * _S**2),
+            (1 - L1) * (5 * L1 - 1) / (4 * L1),
+            S_ABOVE_KNEE,
+            ABOVE_KNEE,
+        ),
+    )
+    for below, over_ra, under_td, s_domain, domain in sides:
+        priority = _envelope_branch(below)
+        ra = _envelope_branch(below, ra_boundary)
+        td = _envelope_branch(below, td_boundary)
+        assert _is_zero((priority - ra).subs(L1, _S**2) - over_ra)
+        assert _is_zero(td - priority - under_td)
+        assert _on(over_ra, s_domain).is_positive
+        assert _on(under_td, domain).is_positive
 
 
 class _InRange:

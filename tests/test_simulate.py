@@ -2,6 +2,7 @@
 and the table-driven kernel against one ``advance_slot`` call per slot."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,30 @@ class TestSlopes:
         x = np.arange(n, dtype=np.float64)
         expected = [float(np.polyfit(x, q, 1)[0]) for q in (q1, q2)]
         assert np.array(_slopes(q1, q2)).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("n", [300_001, 990_000, 2_000_001])
+    def test_bits_match_polyfit_on_long_windows(self, n):
+        # below n = 5000 every partial sum of x**2 is exact; at the two larger
+        # n, polyfit's in-order column norm and numpy's pairwise sum part
+        q1, q2 = _window("walk", n, n), _window("ramp", n, n + 1)
+        x = np.arange(n, dtype=np.float64)
+        expected = [float(np.polyfit(x, q, 1)[0]) for q in (q1, q2)]
+        assert np.array(_slopes(q1, q2)).tobytes() == np.array(expected).tobytes()
+        if n >= 990_000:
+            assert np.sum(x * x) != np.cumsum(x * x)[-1]
+
+    def test_traced_peak_is_24_bytes_per_slot(self):
+        # the design's 16 B/slot and one queue's cast window; no float arange,
+        # squared design or x**2 temporary beside them
+        n = 990_000
+        q1, q2 = _window("walk", n, 5), _window("ramp", n, 6)
+        tracemalloc.start()
+        try:
+            _slopes(q1, q2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n + 65_536
 
     def test_one_slot_window_has_no_slope(self):
         one = np.array([7], dtype=np.int64)
