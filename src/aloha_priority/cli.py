@@ -14,7 +14,6 @@ do not.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -135,17 +134,10 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     dataset = run_sweep(p_step=args.p_step, lambda_step=args.lambda_step)
-    columns = [
-        "lambda1",
-        "priority_numeric",
-        "priority_closed",
-        "ra",
-        "td",
-        "argmax_p1",
-        "argmax_p2",
-    ]
-    rows = [list(row) for row in zip(*(getattr(dataset, c) for c in columns))]
-    _write(reports.emit_table(columns, rows, args.format), args.out)
+    # every field after the scalar lambda_step is one column of the table
+    columns = {k: v for k, v in vars(dataset).items() if k != "lambda_step"}
+    rows = list(zip(*(c.tolist() for c in columns.values())))
+    _write(reports.emit_table(list(columns), rows, args.format), args.out)
     return 0
 
 
@@ -171,12 +163,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "warmup": config.warmup,
         "seed": args.seed,
     }
-    for f in dataclasses.fields(metrics):
-        value = getattr(metrics, f.name)
+    for name, value in vars(metrics).items():
         if isinstance(value, tuple):
-            report[f"{f.name}_q1"], report[f"{f.name}_q2"] = value
+            report[f"{name}_q1"], report[f"{name}_q2"] = value
         else:
-            report[f.name] = value
+            report[name] = value
     _write(reports.emit_report(report, args.format), args.out)
     return 0
 
@@ -190,21 +181,13 @@ def cmd_analyze_qbd(args: argparse.Namespace) -> int:
     r = qbd.rate_matrix_closed_form(p, args.l2)
     solved = qbd.solve_rate_matrix(blocks)
     report = {"p1": args.p1, "p2": args.p2, "l2": args.l2}
-    for name, matrix in (
-        ("b", blocks.b),
-        ("a0", blocks.a0),
-        ("a1", blocks.a1),
-        ("a2", blocks.a2),
-        ("r_closed", r),
-        ("r_solver", solved),
-    ):
-        for i in range(2):
-            for j in range(2):
-                report[f"{name}_{i}{j}"] = float(matrix[i, j])
+    for name, matrix in {**vars(blocks), "r_closed": r, "r_solver": solved}.items():
+        for (i, j), value in np.ndenumerate(matrix):
+            report[f"{name}_{i}{j}"] = value
     report.update(
         {
             "r_balance_residual": qbd.balance_residual(blocks, r),
-            "solver_max_delta": float(abs(solved - r).max()),
+            "solver_max_delta": abs(solved - r).max(),
             "sp_closed_form": qbd.spectral_radius_closed_form(p, args.l2),
             "sp_eigen": qbd.spectral_radius(r),
             "pi0": pi0,

@@ -33,13 +33,8 @@ is bit for bit what a call with plain floats returns: the elementwise
 arithmetic is the same IEEE operations in the same order, and a root or a
 square of an array goes through ``np.float_power``, the libm ``pow`` that a
 float's ``**`` calls (numpy's own power and sqrt loops differ from it in the
-last bit at some inputs).  In the solver each slice keeps its own stopping
-rule, and its R is bit for bit the one a lone solve of that point returns:
-numpy runs every 2x2 slice of a stacked ``matmul`` through the same BLAS
-call as a lone 2x2 ``matmul``, and the remaining steps are elementwise.
-That holds batch by batch: the solver runs a batch of steps into one buffer
-before it looks for converged slices, and a slice's iterates are the same
-whichever batch and whichever neighbours they are computed with.
+last bit at some inputs).  The solver, too, gives each slice the R a lone
+solve of that point returns; ``solve_rate_matrix`` says why.
 
 Level 0 has no reserved-phase state in practice: OFF follows a collision,
 which needs queue 2 nonempty, and the resolving slot serves queue 1.  The
@@ -169,9 +164,11 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     in batches: each batch writes its iterates into one buffer, takes every
     step's change at once, stores each slice's first iterate under _TOL and
     drops the solved slices from the stack.  A slice meets the same matmul
-    and elementwise arithmetic in every batch as in a lone solve, so its R
-    is bit for bit the same.  No slice takes more than max_iter steps;
-    raises NoConvergenceError if any is still moving after them.
+    and elementwise arithmetic in every batch as in a lone solve (numpy runs
+    every 2x2 slice of a stacked ``matmul`` through the same BLAS call as a
+    lone 2x2 ``matmul``), so its R is bit for bit the same.  No slice takes
+    more than max_iter steps; raises NoConvergenceError if any is still
+    moving after them.
     """
     shape = blocks.a1.shape
     m = _inv2(np.eye(2) - blocks.a1, "I - A1").reshape(-1, 2, 2)

@@ -1,10 +1,12 @@
 """Dataset and report serialization for the command-line surface.
 
-Two formats, csv and json, carrying identical field names.  Floats are
-rendered with repr, the shortest string that parses back to the exact same
-double, so every emitted dataset re-parses to identical values and repeated
-runs are byte-identical.  Tabular datasets become csv tables or a json
-object {"columns": [...], "rows": [[...]]}; scalar reports become two-column
+Two formats, csv and json, carrying identical field names.  Every value goes
+through one rule first: a numpy scalar collapses to its plain Python value
+and a bool becomes an int.  The csv writer renders each float by its repr,
+the shortest string that parses back to the exact same double, so every
+emitted dataset re-parses to identical values and repeated runs are
+byte-identical.  Tabular datasets become csv tables or a json object
+{"columns": [...], "rows": [[...]]}; scalar reports become two-column
 field/value csv or a flat json object.  Json has no NaN or infinity, so a
 non-finite float is written as null there; csv writes its repr (``nan``).
 """
@@ -21,6 +23,9 @@ from typing import Any
 
 def _py(value: Any) -> Any:
     """Collapse numpy scalars to plain Python types at the emit boundary."""
+    kind = type(value)
+    if kind is float or kind is int or kind is str:
+        return value
     if hasattr(value, "item"):
         value = value.item()
     if isinstance(value, bool):
@@ -30,35 +35,15 @@ def _py(value: Any) -> Any:
 
 def _json(value: Any) -> Any:
     """``_py``, with a non-finite float as null."""
-    kind = type(value)
-    if kind is float:
-        return value if math.isfinite(value) else None
-    if kind is str or kind is int:
-        return value
     value = _py(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _render(value: Any) -> Any:
-    kind = type(value)
-    if kind is float:
-        return repr(value)
-    if kind is str or kind is int:
-        return value
-    value = _py(value)
-    if isinstance(value, float):
-        return repr(value)
-    return value
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _csv(columns: list[str], rows: Iterable[Iterable[Any]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_render(v) for v in row])
+    writer.writerows([_py(v) for v in row] for row in rows)
     return buf.getvalue()
 
 

@@ -9,11 +9,8 @@ behind ``priority_boundary`` is right.
 The whole l1 grid goes through one ``envelope_at`` call.  mu1'' and mu2''
 do not depend on l1, so the (p1, p2) plane is evaluated once and reduced to
 its column maxima of mu1'' and row maxima of mu2''; each l1 then costs only
-work along one grid.  Three identities keep the result exact: "some p1 makes
-l1 < mu1''" is "l1 < the column maximum"; the row maximum of
-min(mu2'', b(p1)) is min(row maximum of mu2'', b(p1)); and the mask
-"positive, else -inf" is monotone, so it commutes with max.  Ties resolve to
-the first (p1, p2) cell in C order, as ``np.argmax`` over the plane would.
+work along one grid.  ``envelope_at`` states the identities that keep this
+exact and how it breaks ties.
 
 A caveat discovered while validating: near l1 -> 1 the true envelope margin
 over the plain random-access curve shrinks like (1 - sqrt(l1))^3, faster than

@@ -17,7 +17,7 @@ from . import oracle, qbd, simulate
 from .model import AccessProbabilities, ArrivalRates, DominanceMode, ProtocolKind
 from .simulate import DEFAULT_SEED
 from .stability import ds1_steady_state, ds3_mu2, ds3_steady_state, union_region_contains
-from .sweep import compare_envelopes, sweep as run_sweep
+from .sweep import compare_envelopes, grid, sweep as run_sweep
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,15 @@ def suite_qbd() -> list[CheckResult]:
     grid, or its 1450 stable points, in one call, and each point gets the
     doubles a call of its own would.
     """
-    n = 20
-    axes = (np.arange(1, n) / n, np.arange(1, n + 1) / n, np.arange(1, n) / n)
-    p1, p2, l2 = (axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
+    axis = grid(0.05)
+    p1, p2, l2 = (a.ravel() for a in np.meshgrid(axis[1:-1], axis[1:], axis[1:-1], indexing="ij"))
     bound = ds3_mu2(p1, p2)
     kept = np.abs(l2 - bound) > 1e-9
     p1, p2, l2, bound = p1[kept], p2[kept], l2[kept], bound[kept]
     r = qbd.rate_matrix_closed_form(AccessProbabilities(p1, p2), l2)
     sp = qbd.spectral_radius(r)
-    equivalence_ok = bool(np.all((sp < 1.0) == (l2 < bound)))
     stable = l2 < bound
+    equivalence_ok = bool(np.all((sp < 1.0) == stable))
     p = AccessProbabilities(p1[stable], p2[stable])
     closed = r[stable]
     sp_closed = qbd.spectral_radius_closed_form(p, l2[stable])

@@ -9,7 +9,9 @@ block-tridiagonal matrix for comparison with the enumerated oracle kernel;
 ``reference_fixed_point`` solves one point at a time with 2x2 arithmetic and
 counts its steps, and ``reference_rate_matrix`` keeps its R;
 ``reference_region_rows`` and ``reference_qbd_grid`` walk the ``region`` and
-``verify --suite qbd`` grids one point at a time with plain floats, and
+``verify --suite qbd`` grids one point at a time with plain floats;
+``conventional_region_contains`` is the conventional random-access region at
+fixed p, which the priority region must enclose; and
 ``reference_spectral_radius`` takes one matrix's radius with a numpy
 scalar's ``** 0.5``;
 ``reference_envelope_at`` maximises the region clauses over a full meshgrid;
@@ -157,6 +159,16 @@ def reference_region_rows(p: AccessProbabilities, rates: list[float]) -> list[li
     return [
         [l1, l2, *_reference_verdict(p.p1, p.p2, l1, l2)] for l1 in rates for l2 in rates
     ]
+
+
+def conventional_region_contains(p1, p2, l1, l2):
+    """The stability region of conventional random access at fixed p, for p1
+    and p2 in (0, 1): the union of {l1 < p1(1 - p2), l2 < p2(1 - l1/(1 - p2))}
+    and {l2 < p2(1 - p1), l1 < p1(1 - l2/(1 - p1))} (Tsybakov & Mikhailov
+    1979; Rao & Ephremides 1988).  Takes arrays."""
+    first = (l1 < p1 * (1.0 - p2)) & (l2 < p2 * (1.0 - l1 / (1.0 - p2)))
+    second = (l2 < p2 * (1.0 - p1)) & (l1 < p1 * (1.0 - l2 / (1.0 - p1)))
+    return first | second
 
 
 def reference_spectral_radius(r: np.ndarray) -> np.float64:

@@ -1,9 +1,11 @@
 """Command-line surface and serialization round-trips."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,16 +64,34 @@ class TestSerialization:
         assert rows == [[1], [0]]
         assert json.loads(reports.emit_table(["flag"], [[True]], "json"))["rows"] == [[1]]
 
+    # (value, csv cell, json value): plain floats, ints and strings pass
+    # through, numpy scalars collapse to plain values, bools become ints,
+    # None is an empty csv cell, and json writes a non-finite float as null
+    VALUE_RULES = [
+        (0.1, "0.1", 0.1), (np.float64(1 / 3), repr(1 / 3), 1 / 3), (-0.0, "-0.0", -0.0),
+        (np.float64(-0.0), "-0.0", -0.0), (7, "7", 7), (np.int64(7), "7", 7),
+        ("text", "text", "text"), (np.str_("text"), "text", "text"),
+        (True, "1", 1), (False, "0", 0), (np.True_, "1", 1), (np.bool_(False), "0", 0),
+        (None, "", None), (math.nan, "nan", None), (np.float64(np.nan), "nan", None),
+        (math.inf, "inf", None), (np.float64(-np.inf), "-inf", None),
+    ]
+
     def test_render_keeps_every_type_rule(self):
-        # plain floats, ints and strings take the fast path; bools still
-        # become ints and numpy scalars still collapse to plain values
-        cases = [
-            (0.1, "0.1"), (np.float64(1 / 3), repr(1 / 3)), (7, 7), (np.int64(7), 7),
-            ("text", "text"), (True, 1), (np.True_, 1), (False, 0),
+        values, cells, plain = (list(c) for c in zip(*self.VALUE_RULES))
+        names = [f"c{i}" for i in range(len(values))]
+        report = dict(zip(names, values))
+        table_csv = reports.emit_table(names, [values], "csv")
+        assert list(csv.reader(io.StringIO(table_csv))) == [names, cells]
+        report_csv = reports.emit_report(report, "csv")
+        assert list(csv.reader(io.StringIO(report_csv))) == [
+            ["field", "value"], *(list(pair) for pair in zip(names, cells))
         ]
-        for value, rendered in cases:
-            assert reports._render(value) == rendered, value
-            assert type(reports._render(value)) is type(rendered), value
+        table_json = json.loads(reports.emit_table(names, [values], "json"))
+        report_json = json.loads(reports.emit_report(report, "json"))
+        # type and repr tell -0.0 from 0.0 and 1 from True
+        expected = [(type(v), repr(v)) for v in plain]
+        assert [(type(v), repr(v)) for v in table_json["rows"][0]] == expected
+        assert [(type(v), repr(v)) for v in report_json.values()] == expected
 
     def test_rejects(self):
         with pytest.raises(ValueError):
@@ -475,11 +495,14 @@ class TestClosedFormBytes:
          "eb19b2b809a009bb294f5eae3eb76e34fb901e7c9f70c7a57ef7bdc8cad8655f"),
         ("region --p1 1 --p2 1 --lambda-step 0.05",
          "13f34087af30f013e46edf2e97c496263287262e9de2d71b648eeae184b73434"),
-        # json goes through reports._json, not the csv path's _render
+        # json goes through reports._json, which also turns a non-finite
+        # float into null
         ("region --p1 0.5 --p2 0.5 --lambda-step 0.05 --format json",
          "9ae2a6a5653a89e9ee9a61e8c65cc38e5547aa57d193e8cb7a6252968d12c271"),
         ("sweep --p-step 0.05 --lambda-step 0.05",
          "405253c8d6418fecbe26535a1f7c6ebbcddcabe431703de893b0f4a74ed5e093"),
+        ("sweep --p-step 0.05 --lambda-step 0.05 --format json",
+         "aa7ae6f81d2acb1ffc6630831c7ce8955e0f097d823b50b04d738347dc85deb8"),
         ("boundary --scheme priority",
          "fbbaef55ae093fe624c38a7ee52d7ac16a88eeaba4347d6830c97b2a6e2bb634"),
         ("boundary --scheme ra",
@@ -523,6 +546,9 @@ class TestClosedFormBytes:
         # too short for batch standard errors: the csv writes nan
         ("simulate --p1 0.5 --p2 0.5 --l1 0.2 --l2 0.2 --slots 50",
          "2751f8e928b005ab576f6980d58a308e680a32957f11d51796e53b04b3085d00"),
+        # and the json writes null
+        ("simulate --p1 0.5 --p2 0.5 --l1 0.2 --l2 0.2 --slots 50 --format json",
+         "b98942c39ac12b24d33b1ae339e01b1ba71bdbf588a1f179a6583d5a7bedba30"),
         # the rate-matrix report, at a plain point, at p1 = 0, at p2 = 1 and
         # next to the p1 = 1 degeneracy
         (_QBD.format("0.5", "0.5", "0.1", "csv"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import reference_region_rows
+from helpers import conventional_region_contains, reference_region_rows
 from numpy.testing import assert_allclose
 
 from aloha_priority import qbd
@@ -314,3 +314,39 @@ class TestArrayRegion:
             ArrivalRates(np.array([0.1, 0.2]), np.array([0.5, 1.0]))
         with pytest.raises(ValueError, match="p1 must lie in"):
             AccessProbabilities(np.array([0.0, np.nan]), 0.5)
+
+
+class TestEnclosesConventionalRegion:
+    # the paper's headline claim at a fixed p: every rate pair that
+    # conventional random access keeps stable, the feedback-priority union
+    # region keeps stable too
+    N = 200_000
+
+    @staticmethod
+    def _assert_enclosed(p1, p2, l1, l2):
+        conventional = conventional_region_contains(p1, p2, l1, l2)
+        priority = union_region_contains(AccessProbabilities(p1, p2), ArrivalRates(l1, l2))
+        escaped = conventional & ~priority.stable
+        assert not escaped.any(), list(zip(p1[escaped], p2[escaped], l1[escaped], l2[escaped]))[:5]
+        return conventional
+
+    def test_random_draws(self):
+        p1, p2, l1, l2 = np.random.default_rng(1709).uniform(1e-9, 1.0, (4, self.N))
+        conventional = self._assert_enclosed(p1, p2, l1, l2)
+        assert conventional.sum() > self.N // 20
+
+    @pytest.mark.parametrize("branch", [1, 2])
+    def test_points_just_inside_each_branch(self, branch):
+        # branch 2 is branch 1 with the queues swapped.  In (a, b, x, y) =
+        # (p1, p2, l1, l2) branch 1's outer boundary is the curve
+        # y = b(1 - x/(1 - b)) up to x = a(1 - b), then the edge x = a(1 - b)
+        # below it; each point on it is pulled in by 1 - 1e-9
+        a, b, t = np.random.default_rng(1709 + branch).uniform(1e-9, 1.0, (3, self.N))
+        half = self.N // 2
+        edge = a * (1.0 - b)
+        x = np.concatenate([t[:half] * edge[:half], edge[half:]])
+        top = b * (1.0 - x / (1.0 - b))
+        y = np.concatenate([top[:half], t[half:] * top[half:]])
+        x, y = x * (1.0 - 1e-9), y * (1.0 - 1e-9)
+        point = (a, b, x, y) if branch == 1 else (b, a, y, x)
+        assert self._assert_enclosed(*point).all()

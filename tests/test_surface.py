@@ -13,8 +13,10 @@ A parameter with a default that no call in ``src/``, ``perfbench/`` or
 belongs in the body as a constant.  A call that spreads ``*args`` or
 ``**kwargs`` counts as passing everything.
 
-Matching is by bare name (a class name stands for its ``__init__``), so both
-checks can only miss an unused function or parameter, never flag a used one.
+Matching is by bare name (a class name stands for its ``__init__``, and a
+call through a ``from ... import name as alias`` binding counts as a call of
+``name``), so both checks can only miss an unused function or parameter,
+never flag a used one.
 
 One design rule is checked the same way: outside ``oracle.py`` no module of
 the package reads an attribute named ``matrix``, so the oracle's dense
@@ -105,13 +107,29 @@ def _defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
     return found
 
 
-def _calls_by_name() -> dict[str, list[ast.Call]]:
+def _calls_by_name(paths: list[Path] | None = None) -> dict[str, list[ast.Call]]:
+    """The calls in ``paths`` (default: every module of ``src/``,
+    ``perfbench/`` and ``tests/``) by the bare name they call, an import
+    alias resolved to the name it binds."""
+    if paths is None:
+        folders = [PACKAGE, ROOT / "perfbench", ROOT / "tests"]
+        paths = [p for folder in folders for p in folder.glob("*.py")]
     calls: dict[str, list[ast.Call]] = {}
-    callers = [PACKAGE, ROOT / "perfbench", ROOT / "tests"]
-    for path in [p for folder in callers for p in folder.glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        aliases = {
+            alias.asname: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.asname
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if isinstance(node.func, ast.Name):
+                    name = aliases.get(node.func.id, node.func.id)
+                else:
+                    name = getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)
     return calls
 
@@ -130,6 +148,20 @@ def test_knob_walker_sees_the_package():
     assert ("qbd.solve_rate_matrix", "max_iter") in found
     assert ("sweep.sweep", "lambda_step") in found
     assert ("cli.main", "argv") in found
+
+
+def test_knob_walker_resolves_import_aliases():
+    # cli calls sweep.sweep as run_sweep; without tests/ among the callers,
+    # that call is the only one that sets both of its parameters
+    knobs = [
+        (parameter, position)
+        for qualified, _, parameter, position in _defaulted_parameters()
+        if qualified == "sweep.sweep"
+    ]
+    assert [parameter for parameter, _ in knobs] == ["p_step", "lambda_step"]
+    calls = _calls_by_name([PACKAGE / "cli.py"]).get("sweep", [])
+    for parameter, position in knobs:
+        assert any(_passes(call, parameter, position) for call in calls), parameter
 
 
 def test_every_defaulted_parameter_is_set_by_some_caller():
