@@ -11,12 +11,17 @@ at least as long as the original's.
 
 A slot's effect depends on the queue lengths only through whether each
 buffer is empty at the start of the slot, so the run does not call
-``advance_slot`` once per slot.  It reads each slot's effect (change of each
-length, next phase, outcome) from the 128-entry
+``advance_slot`` once per slot.  It takes three slots per step of its loop,
+reading the block's effect (change of each length, next phase) from a
+composed table with one byte per block state and 12-bit word of the three
+slots' coins.  The block state is the phase and each length capped at 3: a
+block moves a length by at most 3, so the cap fixes every buffer-empty bit
+inside it.  The table is three lookups in the 128-entry
 :func:`aloha_priority.model.slot_table`, keyed by the start phase, which
-buffers are nonempty and the slot's four coins.  The per-slot loop only looks
-up the key of each slot and carries the two lengths; the trajectory arrays
-are read off the keys afterwards.
+buffers are nonempty and the slot's four coins.  The loop only carries the
+two lengths and records each block's state; numpy then replays the three
+slot keys of every block at once, and the trajectory arrays are read off the
+keys.
 
 Every reported statistic is computed over the post-warmup window.  Standard
 errors come from batch means (100 batches) rather than the naive iid formula
@@ -25,6 +30,7 @@ because successive slots are strongly correlated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +62,14 @@ _MIN_SAMPLES = 10_000
 _STABLE_SLOPE = 1e-3
 _UNSTABLE_SLOPE = 5e-3
 _FINAL_FRACTION = 0.01
+
+# Slots per step of the slot loop; the layouts below hold only for 3.  A
+# block's state is phase << 4 | min(q1, 3) << 2 | min(q2, 3) and its coin
+# word holds slot j's four coins in bits 4j to 4j + 3.  The block table's
+# byte at word << 5 | state packs (dq1 + 3) | (dq2 + 3) << 3 | next phase << 6,
+# and _UNPACK maps a byte back to (dq1, dq2, next phase << 4).
+_BLOCK = 3
+_UNPACK = [((b & 7) - _BLOCK, (b >> 3 & 7) - _BLOCK, b >> 6 << 4) for b in range(256)]
 
 
 @dataclass(frozen=True)
@@ -183,6 +197,51 @@ def _verdict(lengths: np.ndarray, slope: float, total_slots: int) -> str:
     return INCONCLUSIVE
 
 
+def _block_keys(table: np.ndarray, states: np.ndarray, codes):
+    """Yield the slot keys of blocks of ``_BLOCK`` slots, slot by slot.
+
+    ``table`` is ``slot_table`` as an int8 array, ``states`` holds each
+    block's start state and ``codes[j]`` the coins of its slot j, all int8;
+    the j-th yielded array broadcasts ``states`` and ``codes[:j + 1]``.
+    Inside a block the capped lengths move as the true ones do, so each stays
+    positive exactly when the true one does.
+    """
+    delta1, delta2 = table[:, 0], table[:, 1]
+    next_phase = table[:, 2] * np.int8(64)
+    phase = (states >> 4) * np.int8(64)
+    c1, c2 = states >> 2 & 3, states & 3
+    for j in range(_BLOCK):
+        if j:
+            c1 = c1 + delta1[key]
+            c2 = c2 + delta2[key]
+            phase = next_phase[key]
+        key = phase | (c1 > 0) * np.int8(32) | (c2 > 0) * np.int8(16) | codes[j]
+        yield key
+
+
+@functools.lru_cache(maxsize=1)
+def _block_table(kind: ProtocolKind, mode: DominanceMode) -> bytes:
+    """The block table of one kind and mode, 32 states by 4096 coin words:
+    three ``slot_table`` lookups composed."""
+    table = np.array(slot_table(kind, mode), dtype=np.int8)
+    states = np.arange(32, dtype=np.int8)
+    # slot j's coins vary along an axis of their own, so slot j's lookups
+    # cover only the blocks that differ up to it; the last slot's grid
+    # (slot 2's coins, slot 1's, slot 0's, state) is the layout word << 5 | state
+    coins = np.arange(16, dtype=np.int8)
+    codes = [coins.reshape(16, *[1] * (j + 1)) for j in range(_BLOCK)]
+    # a packed byte is a sum: each slot adds its share of both length fields,
+    # the last slot also the next phase, and each length field its offset
+    share = table[:, 0] + table[:, 1] * np.int8(8)
+    *head, last = _block_keys(table, states, codes)
+    packed = (share + table[:, 2] * np.int8(64))[last]
+    del last
+    for key in head:
+        packed += share[key]
+    packed += _BLOCK + _BLOCK * 8
+    return packed.tobytes()
+
+
 def run_trajectory(config: SimulationConfig) -> Trajectory:
     """Simulate the full horizon from an empty initial state."""
     n = config.horizon
@@ -191,31 +250,48 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
         for child in np.random.SeedSequence(config.seed).spawn(4)
     ]
     rates = (config.l.l1, config.l.l2, config.p.p1, config.p.p2)
-    codes = np.zeros(n, dtype=np.uint8)
+    # the tail block is padded with zero codes; its padding slots are cut off
+    codes = np.zeros(-(-n // _BLOCK) * _BLOCK, dtype=np.uint8)
+    draws = np.empty(n)
     for bit, (stream, rate) in enumerate(zip(streams, rates)):
-        codes |= (stream.random(n) < rate).view(np.uint8) << bit
+        stream.random(out=draws)
+        codes[:n] |= (draws < rate).view(np.uint8) << bit
+    del draws
 
-    table = slot_table(config.kind, config.mode)
-    step = [(dq1, dq2, phase << 6) for dq1, dq2, phase, _ in table]
-    keys = bytearray()
-    append = keys.append
-    q1 = q2 = start = 0
-    for code in codes.tobytes():
-        key = start | code
-        if q1:
-            key |= 0b100000
-        if q2:
-            key |= 0b010000
-        append(key)
-        dq1, dq2, start = step[key]
+    blocks = codes.reshape(-1, _BLOCK)
+    # each block's coin word, shifted past the five bits of a block state
+    words = np.zeros(blocks.shape[0], dtype=np.uint32)
+    for j in range(_BLOCK):
+        words |= blocks[:, j].astype(np.uint32) << 4 * j + 5
+    block_table = _block_table(config.kind, config.mode)
+    unpack = _UNPACK
+    states = bytearray()
+    append = states.append
+    q1 = q2 = phase = 0
+    for word in memoryview(words):
+        state = phase | (q1 if q1 < 3 else 3) << 2 | (q2 if q2 < 3 else 3)
+        append(state)
+        dq1, dq2, phase = unpack[block_table[word | state]]
         q1 += dq1
         q2 += dq2
+    del words
 
-    keys = np.frombuffer(keys, dtype=np.uint8)
-    delta1, delta2, _, outcome = np.array(table, dtype=np.int8).T
+    # each block's slot keys overwrite its coins in place
+    table = np.array(slot_table(config.kind, config.mode), dtype=np.int8)
+    blocks = blocks.view(np.int8)
+    for j, key in enumerate(_block_keys(table, np.frombuffer(states, np.int8), blocks.T)):
+        blocks[:, j] = key
+    del states, key
+
+    keys = codes[:n]
+    delta1, delta2, _, outcome = table.T
+    # the steps are read as int64 and summed in place, with no int8 copy or
+    # cast buffer beside the sums
+    q1 = delta1.astype(np.int64)[keys]
+    q2 = delta2.astype(np.int64)[keys]
     return Trajectory(
-        q1=np.cumsum(delta1[keys], dtype=np.int64),
-        q2=np.cumsum(delta2[keys], dtype=np.int64),
+        q1=np.cumsum(q1, out=q1),
+        q2=np.cumsum(q2, out=q2),
         phase_start=(keys >> 6).astype(np.int8),
         outcome=outcome[keys],
         # a packet at access time: the buffer was nonempty or one arrived
@@ -228,6 +304,9 @@ def summarize(trajectory: Trajectory, config: SimulationConfig) -> SimulationMet
     w = config.warmup
     q1 = trajectory.q1[w:]
     q2 = trajectory.q2[w:]
+    # the fit's design is the largest array of a run; fit before the per-slot
+    # masks below are made, so they are not held beside it
+    drift1, drift2 = _slopes(q1, q2)
     out = trajectory.outcome[w:]
     busy1 = trajectory.busy1[w:]
     busy2 = trajectory.busy2[w:]
@@ -243,7 +322,6 @@ def summarize(trajectory: Trajectory, config: SimulationConfig) -> SimulationMet
     mu2, se2 = _batch_rate(success2, every if forced2 else busy2)
     occ, occ_se = _batch_rate(trajectory.phase_start[w:], every)
 
-    drift1, drift2 = _slopes(q1, q2)
     return SimulationMetrics(
         delivered=(int(success1.sum()), int(success2.sum())),
         busy_slots=(int(busy1.sum()), int(busy2.sum())),

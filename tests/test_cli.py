@@ -58,12 +58,6 @@ class TestSerialization:
         assert parse_csv_report(reports.emit_report(report, "csv")) == report
         assert parse_json_report(reports.emit_report(report, "json")) == report
 
-    def test_bools_become_ints(self):
-        text = reports.emit_table(["flag"], [[True], [False]], "csv")
-        _, rows = parse_csv_table(text)
-        assert rows == [[1], [0]]
-        assert json.loads(reports.emit_table(["flag"], [[True]], "json"))["rows"] == [[1]]
-
     # (value, csv cell, json value): plain floats, ints and strings pass
     # through, numpy scalars collapse to plain values, bools become ints,
     # None is an empty csv cell, and json writes a non-finite float as null

@@ -1,5 +1,6 @@
 """Monte Carlo runner: determinism, references, verdicts, dominance coupling,
-and the table-driven kernel against one ``advance_slot`` call per slot."""
+the three-slot block table against ``slot_table``, and the table-driven kernel
+against one ``advance_slot`` call per slot."""
 
 import dataclasses
 import tracemalloc
@@ -27,6 +28,7 @@ from aloha_priority.simulate import (
     UNSTABLE,
     SimulationConfig,
     Trajectory,
+    _block_table,
     _slopes,
     run,
     run_trajectory,
@@ -317,6 +319,74 @@ class TestKernelEquality:
             seed=seed,
         )
         _assert_same_trajectory(run_trajectory(config), reference_trajectory(config))
+
+
+class TestBlockLoop:
+    # every horizon mod 3, so the padded tail block is cut at each offset;
+    # at the overload point the queues grow far past the block table's cap
+    @pytest.mark.parametrize("horizon", [2, 3, 4, 5, 6, 7, 20_001])
+    @pytest.mark.parametrize(
+        "p, l", [((0.6, 0.4), (0.25, 0.3)), ((1.0, 0.01), (0.995, 0.5))]
+    )
+    @pytest.mark.parametrize("mode", list(DominanceMode))
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_tail_and_long_queues_match_reference(self, kind, mode, p, l, horizon):
+        config = _config(
+            kind=kind,
+            mode=mode,
+            p=AccessProbabilities(*p),
+            l=ArrivalRates(*l),
+            horizon=horizon,
+        )
+        got = run_trajectory(config)
+        _assert_same_trajectory(got, reference_trajectory(config))
+        if horizon > 20_000 and l[0] + l[1] > 1.0:
+            assert got.q2.max() > 100
+
+    def test_traced_peak_is_under_24_bytes_per_slot(self):
+        # the trajectory's 20 B/slot, the key buffer and a bool temporary: no
+        # int8 copy or cast buffer beside the int64 sums, no second key array
+        config = _config(horizon=1_000_000)
+        run_trajectory(_config(horizon=10))
+        tracemalloc.start()
+        try:
+            run_trajectory(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * config.horizon
+
+
+def _three_slots(table, phase, q1, q2, word):
+    """Three ``slot_table`` steps from true lengths ``q1``, ``q2`` (arrays)."""
+    start1, start2 = q1, q2
+    for j in range(3):
+        code = word >> 4 * j & 15
+        key = phase << 6 | (q1 > 0) << 5 | (q2 > 0) << 4 | code
+        q1, q2, phase = q1 + table[key, 0], q2 + table[key, 1], table[key, 2]
+    return q1 - start1, q2 - start2, phase
+
+
+class TestBlockTable:
+    @pytest.mark.parametrize("mode", list(DominanceMode))
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_entries_are_three_slot_table_steps(self, kind, mode):
+        # byte (word << 5 | state) packs (dq1 + 3) | (dq2 + 3) << 3 | phase << 6
+        # for state phase << 4 | min(q1, 3) << 2 | min(q2, 3); every true
+        # length 0-6 is walked, so lengths 4, 5 and 6 must read the entry of 3
+        block = np.frombuffer(_block_table(kind, mode), dtype=np.uint8)
+        assert block.shape == (2 * 4 * 4 * 16**3,)
+        table = np.array(slot_table(kind, mode), dtype=np.int64)
+        phase, q1, q2, word = np.meshgrid(
+            np.arange(2), np.arange(7), np.arange(7), np.arange(4096), indexing="ij"
+        )
+        dq1, dq2, after = _three_slots(table, phase, q1, q2, word)
+        state = phase << 4 | np.minimum(q1, 3) << 2 | np.minimum(q2, 3)
+        entry = block[word << 5 | state].astype(np.int64)
+        assert np.array_equal(entry & 7, dq1 + 3)
+        assert np.array_equal(entry >> 3 & 7, dq2 + 3)
+        assert np.array_equal(entry >> 6, after)
+        assert np.all(entry < 128)
 
 
 class TestSlotTable:
