@@ -30,7 +30,6 @@ because successive slots are strongly correlated.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +68,7 @@ _FINAL_FRACTION = 0.01
 # byte at word << 5 | state packs (dq1 + 3) | (dq2 + 3) << 3 | next phase << 6,
 # and _UNPACK maps a byte back to (dq1, dq2, next phase << 4).
 _BLOCK = 3
-_UNPACK = [((b & 7) - _BLOCK, (b >> 3 & 7) - _BLOCK, b >> 6 << 4) for b in range(256)]
+_UNPACK = [((b & 7) - 3, (b >> 3 & 7) - 3, b >> 6 << 4) for b in range(256)]
 
 
 @dataclass(frozen=True)
@@ -219,11 +218,9 @@ def _block_keys(table: np.ndarray, states: np.ndarray, codes):
         yield key
 
 
-@functools.lru_cache(maxsize=1)
-def _block_table(kind: ProtocolKind, mode: DominanceMode) -> bytes:
-    """The block table of one kind and mode, 32 states by 4096 coin words:
-    three ``slot_table`` lookups composed."""
-    table = np.array(slot_table(kind, mode), dtype=np.int8)
+def _block_table(table: np.ndarray) -> bytes:
+    """The block table, 32 states by 4096 coin words: three lookups in
+    ``table``, ``slot_table`` as an int8 array, composed."""
     states = np.arange(32, dtype=np.int8)
     # slot j's coins vary along an axis of their own, so slot j's lookups
     # cover only the blocks that differ up to it; the last slot's grid
@@ -238,7 +235,7 @@ def _block_table(kind: ProtocolKind, mode: DominanceMode) -> bytes:
     del last
     for key in head:
         packed += share[key]
-    packed += _BLOCK + _BLOCK * 8
+    packed += 3 + 3 * 8
     return packed.tobytes()
 
 
@@ -263,7 +260,8 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
     words = np.zeros(blocks.shape[0], dtype=np.uint32)
     for j in range(_BLOCK):
         words |= blocks[:, j].astype(np.uint32) << 4 * j + 5
-    block_table = _block_table(config.kind, config.mode)
+    table = np.array(slot_table(config.kind, config.mode), dtype=np.int8)
+    block_table = _block_table(table)
     unpack = _UNPACK
     states = bytearray()
     append = states.append
@@ -274,10 +272,9 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
         dq1, dq2, phase = unpack[block_table[word | state]]
         q1 += dq1
         q2 += dq2
-    del words
+    del words, block_table
 
     # each block's slot keys overwrite its coins in place
-    table = np.array(slot_table(config.kind, config.mode), dtype=np.int8)
     blocks = blocks.view(np.int8)
     for j, key in enumerate(_block_keys(table, np.frombuffer(states, np.int8), blocks.T)):
         blocks[:, j] = key

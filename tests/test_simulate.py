@@ -374,9 +374,9 @@ class TestBlockTable:
         # byte (word << 5 | state) packs (dq1 + 3) | (dq2 + 3) << 3 | phase << 6
         # for state phase << 4 | min(q1, 3) << 2 | min(q2, 3); every true
         # length 0-6 is walked, so lengths 4, 5 and 6 must read the entry of 3
-        block = np.frombuffer(_block_table(kind, mode), dtype=np.uint8)
-        assert block.shape == (2 * 4 * 4 * 16**3,)
         table = np.array(slot_table(kind, mode), dtype=np.int64)
+        block = np.frombuffer(_block_table(table.astype(np.int8)), dtype=np.uint8)
+        assert block.shape == (2 * 4 * 4 * 16**3,)
         phase, q1, q2, word = np.meshgrid(
             np.arange(2), np.arange(7), np.arange(7), np.arange(4096), indexing="ij"
         )
