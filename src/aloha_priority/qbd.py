@@ -34,7 +34,9 @@ arithmetic is the same IEEE operations in the same order, and a root or a
 square of an array goes through ``np.float_power``, the libm ``pow`` that a
 float's ``**`` calls (numpy's own power and sqrt loops differ from it in the
 last bit at some inputs).  The solver, too, gives each slice the R a lone
-solve of that point returns; ``solve_rate_matrix`` says why.
+solve of that point returns: a stacked ``matmul``, a 2-D ``matmul`` and a
+2-D ``np.dot`` all make the same BLAS call for a 2x2 product, and a lone
+point steps through ``np.dot``; ``solve_rate_matrix`` says more.
 
 Level 0 has no reserved-phase state in practice: OFF follows a collision,
 which needs queue 2 nonempty, and the resolving slot serves queue 1.  The
@@ -60,9 +62,11 @@ from .stability import divisor, ds2_mu1, ds3_mu2
 # the fixed point stops once no entry of R moves by this much in one step
 _TOL = 1e-12
 # a batch runs at most _BATCH_STEPS steps and holds about _BATCH_SLICES
-# iterates, so a large stack runs short batches and a lone point long ones
+# iterates, so a large stack runs short batches; a lone point's batches grow
+# with the steps it has taken, from _BATCH_STEPS up to _LONE_STEPS
 _BATCH_STEPS = 64
 _BATCH_SLICES = 8192
+_LONE_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -136,13 +140,19 @@ def _batch(
     iterates[0] = r
     square = np.empty_like(r)
     inner = np.empty_like(r)
-    matmul, add = np.matmul, np.add
-    views = list(iterates)
+    if len(r) == 1:
+        # a lone slice steps on 2-D views: np.dot makes the same gemm call
+        # as a stacked matmul's slice, with less of numpy's dispatch around it
+        product, views = np.dot, list(iterates[:, 0])
+        m, a0, a2, square, inner = m[0], a0[0], a2[0], square[0], inner[0]
+    else:
+        product, views = np.matmul, list(iterates)
+    add = np.add
     for prev, nxt in zip(views, views[1:]):
-        matmul(prev, prev, square)
-        matmul(a0, square, inner)
+        product(prev, prev, square)
+        product(a0, square, inner)
         add(a2, inner, inner)
-        matmul(m, inner, nxt)
+        product(m, inner, nxt)
     change = np.diff(iterates, axis=0)
     settled = np.abs(change, out=change).max(axis=(2, 3)) < _TOL
     done = settled.any(axis=0)
@@ -163,10 +173,14 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     _TOL, so a slice's R does not depend on its neighbours.  The steps run
     in batches: each batch writes its iterates into one buffer, takes every
     step's change at once, stores each slice's first iterate under _TOL and
-    drops the solved slices from the stack.  A slice meets the same matmul
-    and elementwise arithmetic in every batch as in a lone solve (numpy runs
-    every 2x2 slice of a stacked ``matmul`` through the same BLAS call as a
-    lone 2x2 ``matmul``), so its R is bit for bit the same.  No slice takes
+    drops the solved slices from the stack.  Once one slice is left, its
+    steps run on 2-D views through ``np.dot``, in batches that grow from 64
+    steps to 256, so a solve of 64 steps or fewer still runs one batch.  A
+    slice meets the same products and elementwise arithmetic in every batch
+    as in a lone solve: numpy runs every 2x2 slice of a stacked ``matmul``
+    through the same ``cblas_dgemm`` call as a lone 2x2 ``matmul``, and
+    ``np.dot`` on two C-contiguous 2x2 operands makes that call too.  So a
+    slice's R is bit for bit the same, stacked or alone.  No slice takes
     more than max_iter steps; raises NoConvergenceError if any is still
     moving after them.
     """
@@ -179,7 +193,8 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     r = np.zeros_like(m)
     taken = 0
     while active.size and taken < max_iter:
-        steps = min(_BATCH_STEPS, max(1, _BATCH_SLICES // active.size), max_iter - taken)
+        longest = _BATCH_STEPS if active.size > 1 else min(max(_BATCH_STEPS, taken), _LONE_STEPS)
+        steps = min(longest, max(1, _BATCH_SLICES // active.size), max_iter - taken)
         done, settled, r = _batch(m, a0, a2, r, steps)
         taken += steps
         if done.any():

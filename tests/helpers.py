@@ -8,6 +8,9 @@ block-tridiagonal matrix for comparison with the enumerated oracle kernel;
 ``stack_blocks`` stacks the blocks of separate points into one QbdBlocks;
 ``reference_fixed_point`` solves one point at a time with 2x2 arithmetic and
 counts its steps, and ``reference_rate_matrix`` keeps its R;
+``product_premise_operands`` and ``product_mismatches`` test that a 2x2
+product gives the same bits through a stacked ``matmul``, a 2-D ``np.dot``
+and a 2-D ``@``;
 ``reference_region_rows`` and ``reference_qbd_grid`` walk the ``region`` and
 ``verify --suite qbd`` grids one point at a time with plain floats;
 ``conventional_region_contains`` is the conventional random-access region at
@@ -210,12 +213,16 @@ def reference_qbd_grid() -> list[dict[str, Any]]:
     return points
 
 
-def reference_fixed_point(blocks: QbdBlocks) -> tuple[np.ndarray, int]:
+def reference_fixed_point(
+    blocks: QbdBlocks, products: list | None = None
+) -> tuple[np.ndarray, int]:
     """``qbd.solve_rate_matrix`` for one point, as a loop over 2x2 matrices,
     with the number of steps it took.
 
     The same fixed point, stopping rule and inverse; the stacked solver must
     match it slice for slice, bit for bit, and must stop after as many steps.
+    A ``products`` list gets the (left, right) operands of every 2x2 product
+    the loop takes.
     """
     m = np.eye(2) - blocks.a1
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
@@ -225,7 +232,11 @@ def reference_fixed_point(blocks: QbdBlocks) -> tuple[np.ndarray, int]:
     a0, a2 = blocks.a0, blocks.a2
     r = np.zeros((2, 2))
     for step in range(1, 10**6 + 1):
-        r_next = m @ (a2 + a0 @ (r @ r))
+        square = r @ r
+        inner = a2 + a0 @ square
+        r_next = m @ inner
+        if products is not None:
+            products += [(r, r), (a0, square), (m, inner)]
         delta = np.max(np.abs(r_next - r))
         r = r_next
         if delta < _TOL:
@@ -236,6 +247,44 @@ def reference_fixed_point(blocks: QbdBlocks) -> tuple[np.ndarray, int]:
 def reference_rate_matrix(blocks: QbdBlocks) -> np.ndarray:
     """The R of ``reference_fixed_point``."""
     return reference_fixed_point(blocks)[0]
+
+
+# (p1, p2, l2) where the fixed point runs long: sp(R) near 0.99 (3363 steps)
+# and 0.999 (24941 steps)
+NEAR_CRITICAL = [(0.254, 0.75, 0.4671135153068128), (0.609, 0.762, 0.20332898945309924)]
+
+
+def product_premise_operands(pairs: int = 20_000, seed: int = 19) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right 2x2 operands, shape (n, 2, 2): ``pairs`` random
+    nonnegative pairs, a quarter of their entries 0 and the rest spread over
+    seven decades, then every product the fixed point takes at the
+    ``NEAR_CRITICAL`` points (M, A0, A2 + A0 R^2 and each iterate R)."""
+    rng = np.random.default_rng(seed)
+    shape = (pairs, 2, 2)
+    drawn = []
+    for _ in range(2):
+        x = rng.random(shape) * 10.0 ** rng.uniform(-6.0, 1.0, shape)
+        x[rng.random(shape) < 0.25] = 0.0
+        drawn.append(x)
+    products: list = []
+    for p1, p2, l2 in NEAR_CRITICAL:
+        reference_fixed_point(qbd_blocks(AccessProbabilities(p1, p2), l2), products)
+    left, right = (np.array([pair[i] for pair in products]) for i in range(2))
+    return np.concatenate([drawn[0], left]), np.concatenate([drawn[1], right])
+
+
+def product_mismatches(left: np.ndarray, right: np.ndarray) -> int:
+    """How many products left[i] right[i] are not the same bits three ways:
+    slice i of one stacked ``np.matmul``, ``np.dot`` of the C-contiguous 2-D
+    slices into an ``out=`` buffer (a lone point's step in
+    ``qbd.solve_rate_matrix``), and a 2-D ``@`` (``reference_fixed_point``)."""
+    stacked = np.matmul(left, right)
+    out = np.empty((2, 2))
+    mismatches = 0
+    for a, b, c in zip(left, right, stacked):
+        np.dot(a, b, out)
+        mismatches += not (out.tobytes() == c.tobytes() == (a @ b).tobytes())
+    return mismatches
 
 
 def reference_envelope_at(l1: float, p1_grid: np.ndarray, p2_grid: np.ndarray):

@@ -1,11 +1,18 @@
 """Rate-matrix machinery: blocks, solver, closed forms, stationary law."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import (
+    NEAR_CRITICAL,
     assemble,
+    product_mismatches,
+    product_premise_operands,
     reference_fixed_point,
     reference_qbd_grid,
     reference_rate_matrix,
@@ -16,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from aloha_priority import qbd
 from aloha_priority.errors import (
     ComplexSpectrumError,
     DegenerateParameterError,
@@ -25,7 +33,6 @@ from aloha_priority.errors import (
 )
 from aloha_priority.model import AccessProbabilities
 from aloha_priority.qbd import (
-    _BATCH_STEPS,
     ds2_pi0,
     ds2_service_rate_q1,
     ds2_service_rate_q1_series,
@@ -206,8 +213,52 @@ class TestStackedSolver:
             solve_rate_matrix(stack_blocks([stable, singular, stable]))
 
 
-# three points whose fixed points stop after 54, 131 and 671 steps: none a
-# multiple of the batch length, so each stops inside a batch
+_PREMISE = """
+from helpers import product_mismatches, product_premise_operands
+print(product_mismatches(*product_premise_operands()))
+"""
+
+
+class TestProductPremise:
+    """A lone point steps through ``np.dot`` on 2-D views and a stack through
+    one stacked ``np.matmul``; the solver's bit identity rests on both making
+    the same BLAS call for a 2x2 product.  A numpy or BLAS build that breaks
+    that fails here, by name, before any digest moves."""
+
+    def test_dot_matches_stacked_matmul(self):
+        left, right = product_premise_operands()
+        assert len(left) == 20_000 + 3 * (3363 + 24_941)
+        assert product_mismatches(left, right) == 0
+
+    def test_dot_matches_stacked_matmul_at_one_and_two_blas_threads(self):
+        tests = Path(__file__).parent
+        path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", _PREMISE], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            )
+            for threads in ("1", "2")
+        ]
+        assert [child.communicate() for child in children] == [("0\n", "")] * 2
+
+
+def _batch_lengths(monkeypatch, blocks) -> list[int]:
+    """The steps of each batch a solve runs."""
+    lengths = []
+    batch = qbd._batch
+
+    def counted(m, a0, a2, r, steps):
+        lengths.append(steps)
+        return batch(m, a0, a2, r, steps)
+
+    monkeypatch.setattr(qbd, "_batch", counted)
+    solve_rate_matrix(blocks)
+    return lengths
+
+
+# three points whose fixed points stop after 54, 131 and 671 steps, each
+# inside a batch of the lone and the stacked schedule
 _UNEVEN = [qbd_blocks(HALF, l2) for l2 in (0.1, 0.15, 0.19)]
 
 
@@ -215,10 +266,22 @@ class TestBatchEdges:
     """Where batches of steps end: a slice stops at its own step, and no
     slice takes a step past max_iter."""
 
-    def test_uneven_steps(self):
+    def test_uneven_steps(self, monkeypatch):
         steps = [reference_fixed_point(blocks)[1] for blocks in _UNEVEN]
-        assert len(set(steps)) == 3
-        assert all(n % _BATCH_STEPS for n in steps)
+        assert steps == [54, 131, 671]
+        for blocks, n in zip(_UNEVEN, steps):
+            # every batch but the last ends before step n, the last past it
+            *earlier, last = np.cumsum(_batch_lengths(monkeypatch, blocks))
+            assert all(end < n for end in earlier) and n < last
+        ends = np.cumsum(_batch_lengths(monkeypatch, stack_blocks(_UNEVEN)))
+        assert not set(steps) & set(ends)
+
+    def test_lone_batches_grow_from_64_to_256(self, monkeypatch):
+        # a solve of 64 steps or fewer runs one 64-step batch
+        assert _batch_lengths(monkeypatch, _UNEVEN[0]) == [64]
+        p1, p2, l2 = NEAR_CRITICAL[0]  # 3363 steps
+        far = qbd_blocks(AccessProbabilities(p1, p2), l2)
+        assert _batch_lengths(monkeypatch, far) == [64, 64, 128] + [256] * 13
 
     @pytest.mark.parametrize("blocks", _UNEVEN, ids=["l2=0.1", "l2=0.15", "l2=0.19"])
     def test_lone_point_stops_at_max_iter(self, blocks):
@@ -241,7 +304,8 @@ class TestBatchEdges:
 
     def test_grid_solve_memory_is_bounded(self):
         # the batch length shrinks as the stack grows: 1450 points run five
-        # steps a batch and peak near 1 MB, where a flat 64 would take 7 MB
+        # steps a batch and peak near 1 MB, where 64-step batches would take
+        # 7 MB; a lone point's batches, at most 256 steps, hold 8 kB
         stack = stack_blocks(_grid_blocks())
         tracemalloc.start()
         try:
@@ -250,6 +314,28 @@ class TestBatchEdges:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+
+@pytest.fixture(scope="module", params=NEAR_CRITICAL, ids=["sp=0.99", "sp=0.999"])
+def near_critical(request):
+    p1, p2, l2 = request.param
+    blocks = qbd_blocks(AccessProbabilities(p1, p2), l2)
+    return blocks, *reference_fixed_point(blocks)
+
+
+class TestLongLoneSolve:
+    """Thousands of lone steps in growing batches, bit for bit the reference's."""
+
+    def test_matches_reference(self, near_critical):
+        blocks, r, n = near_critical
+        assert n in (3363, 24941)
+        assert solve_rate_matrix(blocks).tobytes() == r.tobytes()
+
+    def test_stops_at_max_iter(self, near_critical):
+        blocks, r, n = near_critical
+        assert solve_rate_matrix(blocks, max_iter=n).tobytes() == r.tobytes()
+        with pytest.raises(NoConvergenceError, match="in %d steps at 1 of 1 points" % (n - 1)):
+            solve_rate_matrix(blocks, max_iter=n - 1)
 
 
 class TestSpectralRadius:
