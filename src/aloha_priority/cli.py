@@ -2,7 +2,8 @@
 
 Subcommands: boundary, region, sweep, simulate, analyze qbd, verify.
 Exit codes: 0 success, 1 usage error (a parameter the model's types reject
-as out of range and an unwritable --out path included),
+as out of range, an unwritable --out path and a simulate --slots too large
+to allocate included),
 2 verification failure, 3 degenerate or unstable parameter rejection (or a
 solver that cannot converge).  All output is deterministic given the same
 flags and seed, with one qualification: the last digits of the oracle total
@@ -220,8 +221,9 @@ def main(argv: list[str] | None = None) -> int:
     except AlohaError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        # OSError: an --out path that cannot be written
+    except (ValueError, OSError, MemoryError) as exc:
+        # OSError: an --out path that cannot be written; MemoryError: a
+        # --slots too large to allocate
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

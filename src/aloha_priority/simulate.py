@@ -18,10 +18,18 @@ slots' coins.  The block state is the phase and each length capped at 3: a
 block moves a length by at most 3, so the cap fixes every buffer-empty bit
 inside it.  The table is three lookups in the 128-entry
 :func:`aloha_priority.model.slot_table`, keyed by the start phase, which
-buffers are nonempty and the slot's four coins.  The loop only carries the
-two lengths and records each block's state; numpy then replays the three
-slot keys of every block at once, and the trajectory arrays are read off the
-keys.
+buffers are nonempty and the slot's four coins.
+
+The blocks' states come from two passes over that table.  Speculative lanes
+cut the blocks into chunks and step every chunk at once in numpy, one lane
+per chunk, all from one start state.  The splice then walks the chunks in
+order with the true state and steps a block exactly only until its state
+byte is proven equal to its lane's: from then on the lane's bytes are copied
+up to the lane's next block where a queue whose true length differs from
+the lane's is below 3 in either, and the true lengths are the lane's plus
+the offsets.  If the splice still steps many blocks, the chunks left get a
+new pass from the true state.  numpy then replays the three slot keys of
+every block at once, and the trajectory arrays are read off the keys.
 
 Every reported statistic is computed over the post-warmup window.  Standard
 errors come from batch means (100 batches) rather than the naive iid formula
@@ -30,6 +38,7 @@ because successive slots are strongly correlated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +78,17 @@ _FINAL_FRACTION = 0.01
 # and _UNPACK maps a byte back to (dq1, dq2, next phase << 4).
 _BLOCK = 3
 _UNPACK = [((b & 7) - 3, (b >> 3 & 7) - 3, b >> 6 << 4) for b in range(256)]
+
+# The speculative lanes (see _block_states).  A lane's capped lengths
+# (min(q1, 3), min(q2, 3)), as a uint8 pair read as one uint16, key their
+# state bits min(q1, 3) << 2 | min(q2, 3) in _CAPPED; _LOW maps a state byte
+# to 1 where its q1 (q2) is below 3; a pass runs _FIRST_WINDOW chunks before
+# the splice may start another.
+_PAIRS = np.array([(c1, c2) for c1 in range(4) for c2 in range(4)], dtype=np.uint8)
+_CAPPED = np.zeros(1 << 10, dtype=np.uint8)
+_CAPPED[_PAIRS.view(np.uint16).reshape(-1)] = _PAIRS[:, 0] << 2 | _PAIRS[:, 1]
+_LOW = tuple(bytes((state >> shift & 3) < 3 for state in range(256)) for shift in (2, 0))
+_FIRST_WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -239,6 +259,130 @@ def _block_table(table: np.ndarray) -> bytes:
     return packed.tobytes()
 
 
+def _chunk_length(blocks: int) -> int:
+    """Blocks per speculative chunk of a run of ``blocks`` blocks.
+
+    A pass of the lanes costs a fixed numpy overhead per step, so about the
+    chunk length, and the splice a few exact blocks per chunk; the two
+    balance near the root of half the blocks.
+    """
+    return max(1, math.isqrt(blocks // 2))
+
+
+def _lanes(words: np.ndarray, block_table: np.ndarray, start: tuple[int, int, int]):
+    """Step every column of ``words`` (a chunk's blocks × lanes) at once,
+    each lane from the state ``start``, (q1, q2, phase << 4).
+
+    Returns each lane's state byte and (q1, q2) at the start of each of its
+    blocks and after its last block: (chunk + 1) × lanes and (chunk + 1) ×
+    lanes × 2 arrays.
+    """
+    steps, width = words.shape
+    # the narrowest type that holds every length: a block adds at most 3
+    top = max(start[:2]) + 3 * steps
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+    unpack = np.array(_UNPACK, dtype=dtype)
+    delta, next_phase = np.ascontiguousarray(unpack[:, :2]), unpack[:, 2].astype(np.uint8)
+    states = np.empty((steps + 1, width), dtype=np.uint8)
+    lengths = np.empty((steps + 1, width, 2), dtype=dtype)
+    lengths[0] = start[:2]
+    phase = np.full(width, start[2], dtype=np.uint8)
+    caps = np.empty((width, 2), dtype=np.uint8)
+    cap_keys = caps.view(np.uint16).reshape(-1)
+    for j in range(steps + 1):
+        np.minimum(lengths[j], 3, out=caps, casting="unsafe")
+        np.bitwise_or(_CAPPED.take(cap_keys), phase, out=states[j])
+        if j < steps:
+            byte = block_table.take(words[j] | states[j])
+            np.add(lengths[j], delta.take(byte, axis=0), out=lengths[j + 1])
+            phase = next_phase.take(byte)
+    return states, lengths
+
+
+def _block_states(words: np.ndarray, block_table: bytes) -> bytearray:
+    """Each block's start state from the empty state, one byte per block.
+
+    ``words`` holds the blocks' shifted coin words.  Speculative lanes
+    (:func:`_lanes`) step every chunk of blocks at once, all from one start
+    state; the splice then walks the chunks in order with the true state and
+    steps a block exactly only until it is proven to match its lane.  If the
+    true and lane state bytes are equal at a block and the true lengths are
+    the lane's plus offsets d1 and d2, the bytes stay equal up to the lane's
+    next block where a queue with a nonzero offset is below 3 in the lane or
+    in the truth: the same byte and coin word give the same table byte, so
+    the offsets persist, and lengths of 3 and more all cap to 3.  The splice
+    copies the lane's bytes up to there and takes the lane's lengths there
+    plus the offsets.  When more than a third of the blocks spliced since a
+    pass were stepped exactly, the remaining chunks get a new pass from the
+    true state, after a window of chunks that doubles with each pass.
+    """
+    blocks = words.shape[0]
+    chunk = _chunk_length(blocks)
+    chunks = -(-blocks // chunk)
+    lane_words = np.zeros(chunks * chunk, dtype=np.uint32)
+    lane_words[:blocks] = words
+    lane_words = np.ascontiguousarray(lane_words.reshape(chunks, chunk).T)
+    lookup = np.frombuffer(block_table, dtype=np.uint8)
+    words = memoryview(words)
+    unpack = _UNPACK
+    states = bytearray()
+    append = states.append
+    q1 = q2 = phase = 0
+    first, window = 0, _FIRST_WINDOW
+    while first < chunks:
+        lane_states, lengths = _lanes(lane_words[:, first:], lookup, (q1, q2, phase))
+        width = chunks - first
+        # chunk-major, chunk + 1 bytes per lane
+        lane_states = lane_states.T.tobytes()
+        low = [lane_states.translate(table) for table in _LOW]
+        flat = memoryview(lengths.reshape(-1))
+        pass_start, copied = len(states), 0
+        for lane in range(width):
+            begin = (first + lane) * chunk
+            end = min(chunk, blocks - begin)
+            offset = lane * (chunk + 1)
+            here = memoryview(lane_states)[offset : offset + chunk + 1]
+            coins = words[begin : begin + end]
+            i = 0
+            while i < end:
+                state = phase | (q1 if q1 < 3 else 3) << 2 | (q2 if q2 < 3 else 3)
+                if state == here[i]:
+                    at = 2 * (i * width + lane)
+                    offsets = q1 - flat[at], q2 - flat[at + 1]
+                    stop = end
+                    for queue, d in enumerate(offsets):
+                        if d > 0:
+                            found = low[queue].find(1, offset + i, offset + stop) - offset
+                        elif d < 0:
+                            below = np.flatnonzero(lengths[i:stop, lane, queue] < 3 - d)
+                            found = i + int(below[0]) if below.size else -1
+                        else:
+                            continue
+                        if found >= 0:
+                            stop = found
+                    states += here[i:stop]
+                    copied += stop - i
+                    at = 2 * (stop * width + lane)
+                    q1 = flat[at] + offsets[0]
+                    q2 = flat[at + 1] + offsets[1]
+                    phase = here[stop] & 16
+                    i = stop
+                    continue
+                append(state)
+                dq1, dq2, phase = unpack[block_table[coins[i] | state]]
+                q1 += dq1
+                q2 += dq2
+                i += 1
+            spliced = len(states) - pass_start
+            if window <= lane + 1 < width and spliced < 3 * (spliced - copied):
+                first += lane + 1
+                window *= 2
+                break
+        else:
+            break
+    return states
+
+
 def run_trajectory(config: SimulationConfig) -> Trajectory:
     """Simulate the full horizon from an empty initial state."""
     n = config.horizon
@@ -261,18 +405,8 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
     for j in range(_BLOCK):
         words |= blocks[:, j].astype(np.uint32) << 4 * j + 5
     table = np.array(slot_table(config.kind, config.mode), dtype=np.int8)
-    block_table = _block_table(table)
-    unpack = _UNPACK
-    states = bytearray()
-    append = states.append
-    q1 = q2 = phase = 0
-    for word in memoryview(words):
-        state = phase | (q1 if q1 < 3 else 3) << 2 | (q2 if q2 < 3 else 3)
-        append(state)
-        dq1, dq2, phase = unpack[block_table[word | state]]
-        q1 += dq1
-        q2 += dq2
-    del words, block_table
+    states = _block_states(words, _block_table(table))
+    del words
 
     # each block's slot keys overwrite its coins in place
     blocks = blocks.view(np.int8)

@@ -332,13 +332,18 @@ class TestExitCodes:
             assert out == ""
             assert err.endswith(f"error: argument {argv[-1]}: step {text} is finer than 0.001\n")
 
-    def test_config_error_is_usage_error(self, capsys):
-        code, _, err = _run(
+    # the second run's first array (one byte per slot) is refused at once:
+    # 10^18 bytes lie past any address space, so nothing is partly allocated
+    @pytest.mark.parametrize(
+        "extra", [["--slots", "20000", "--warmup", "30000"], ["--slots", str(10**18)]]
+    )
+    def test_config_error_is_usage_error(self, capsys, extra):
+        code, out, err = _run(
             capsys,
-            ["simulate", "--p1", "0.5", "--p2", "0.5", "--l1", "0.1", "--l2", "0.1",
-             "--slots", "20000", "--warmup", "30000"],
+            ["simulate", "--p1", "0.5", "--p2", "0.5", "--l1", "0.1", "--l2", "0.1", *extra],
         )
         assert code == 1
+        assert out == ""
         assert err.startswith("usage error:")
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):

@@ -11,6 +11,7 @@ from helpers import classify_stability, reference_trajectory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aloha_priority import simulate
 from aloha_priority.model import (
     AccessProbabilities,
     ArrivalRates,
@@ -243,7 +244,7 @@ class TestDominanceCoupling:
         p2=st.floats(0.0, 1.0),
         l1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         l2=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        horizon=st.integers(2, 3_000),
+        horizon=st.integers(2, 30_000),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_dominance_holds_pathwise_for_random_configs(
@@ -304,7 +305,7 @@ class TestKernelEquality:
         p2=_UNIT,
         l1=_RATE,
         l2=_RATE,
-        horizon=st.integers(2, 3_000),
+        horizon=st.integers(2, 30_000),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_configs_match_reference(
@@ -323,14 +324,40 @@ class TestKernelEquality:
 
 class TestBlockLoop:
     # every horizon mod 3, so the padded tail block is cut at each offset;
-    # at the overload point the queues grow far past the block table's cap
-    @pytest.mark.parametrize("horizon", [2, 3, 4, 5, 6, 7, 20_001])
+    # at the overload point the queues grow far past the block table's cap.
+    # At the third point queue 2's buffer grows while queue 1 empties often,
+    # so the splice jumps on a positive offset of queue 2; at the last, near
+    # the conventional boundary, both queues wander far from empty and back,
+    # so a pass started from a long queue meets negative offsets.  A chunk
+    # length other than None replaces the derived one: chunk edges
+    # 3 * 5 * k + {0, 1, 2, 3} for k = 1, 2, then 40 chunks, and one-block
+    # chunks, where every block is a chunk edge.  20001 slots run 117 chunks
+    # of the derived 57 blocks.
     @pytest.mark.parametrize(
-        "p, l", [((0.6, 0.4), (0.25, 0.3)), ((1.0, 0.01), (0.995, 0.5))]
+        "horizon, chunk",
+        [
+            *((horizon, None) for horizon in (2, 3, 4, 5, 6, 7, 20_001)),
+            *((15 * k + r, 5) for k in (1, 2) for r in range(4)),
+            (15 * 40 + 1, 5),
+            (601, 1),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "p, l",
+        [
+            ((0.6, 0.4), (0.25, 0.3)),
+            ((1.0, 0.01), (0.995, 0.5)),
+            ((0.5, 0.5), (0.2, 0.5)),
+            ((0.5, 0.5), (0.24, 0.25)),
+        ],
     )
     @pytest.mark.parametrize("mode", list(DominanceMode))
     @pytest.mark.parametrize("kind", list(ProtocolKind))
-    def test_tail_and_long_queues_match_reference(self, kind, mode, p, l, horizon):
+    def test_tail_and_long_queues_match_reference(
+        self, monkeypatch, kind, mode, p, l, horizon, chunk
+    ):
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "_chunk_length", lambda blocks: chunk)
         config = _config(
             kind=kind,
             mode=mode,
