@@ -52,6 +52,7 @@ from .stability import (
     ds1_region_contains,
     ds1_rho,
     ds1_service_rate_q2,
+    ds1_stationary,
     ds1_steady_state,
     ds2_region_contains,
     ds3_steady_state,

@@ -135,8 +135,8 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     dataset = run_sweep(p_step=args.p_step, lambda_step=args.lambda_step)
-    # every field after the scalar lambda_step is one column of the table
-    columns = {k: v for k, v in vars(dataset).items() if k != "lambda_step"}
+    # every field is one column of the table
+    columns = vars(dataset)
     rows = list(zip(*(c.tolist() for c in columns.values())))
     _write(reports.emit_table(list(columns), rows, args.format), args.out)
     return 0
@@ -153,17 +153,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         warmup=args.warmup,
     )
     metrics = simulate.run(config)
-    report = {
-        "kind": args.kind,
-        "mode": args.mode,
-        "p1": args.p1,
-        "p2": args.p2,
-        "l1": args.l1,
-        "l2": args.l2,
-        "slots": args.slots,
-        "warmup": config.warmup,
-        "seed": args.seed,
-    }
+    inputs = ("kind", "mode", "p1", "p2", "l1", "l2", "slots", "warmup", "seed")
+    # the warmup reported is the one run, which the config derives when unset
+    report = {name: getattr(config if name == "warmup" else args, name) for name in inputs}
     for name, value in vars(metrics).items():
         if isinstance(value, tuple):
             report[f"{name}_q1"], report[f"{name}_q2"] = value

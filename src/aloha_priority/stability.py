@@ -55,32 +55,19 @@ class RegionVerdict:
 
 @dataclass(frozen=True)
 class Ds1SteadyState:
-    """Geometric stationary law of the queue-1 chain under saturated queue 2.
+    """Parameters of the geometric queue-1 law under saturated queue 2.
 
-    pi(k) is the probability of k packets with the channel in normal phase,
-    eps(k) the probability of k packets in a reserved slot.  eps(0) = 0: a
-    reserved slot follows a collision, which requires queue 1 nonempty, and
-    the retransmission that empties it also ends the phase.
+    ``ds1_stationary`` lays the law out by level: pi0 rho^k is the
+    probability of k packets with the channel in normal phase, and
+    eps1 rho^(k - 1) that of k >= 1 packets in a reserved slot.
     """
 
     rho: float
     pi0: float
     eps1: float
 
-    def pi(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("level must be nonnegative")
-        return self.pi0 * self.rho**k
-
-    def eps(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("level must be nonnegative")
-        if k == 0:
-            return 0.0
-        return self.eps1 * self.rho ** (k - 1)
-
     def total_mass(self) -> float:
-        """Sum of all pi(k) and eps(k); equals 1 for a valid steady state."""
+        """Total of the law over both phases and all levels; 1 for a valid steady state."""
         return (self.pi0 + self.eps1) / (1.0 - self.rho)
 
 
@@ -160,6 +147,23 @@ def ds1_steady_state(p: AccessProbabilities, l1: float) -> Ds1SteadyState:
     pi0 = (p.p1 - l1 * (1.0 + p.p1 * p.p2)) / (p.p1 * (1.0 - l1))
     eps1 = l1 * p.p2 / (1.0 - l1 * p.p2) * pi0
     return Ds1SteadyState(rho=rho, pi0=pi0, eps1=eps1)
+
+
+def ds1_stationary(p: AccessProbabilities, l1: float, k_max: int) -> np.ndarray:
+    """Geometric DS1 law up to level k_max, in ``qbd.ds2_stationary``'s layout.
+
+    Row k of the (k_max + 1, 2) array is (pi_k, eps_k) = (pi0 rho^k,
+    eps1 rho^(k - 1)), level k's mass in the normal and the reserved phase.
+    eps_0 = 0: a reserved slot follows a collision, which requires queue 1
+    nonempty, and the retransmission that empties it also ends the phase.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    ss = ds1_steady_state(p, l1)
+    rho = ss.rho
+    return np.array(
+        [(ss.pi0 * rho**k, ss.eps1 * rho ** (k - 1) if k else 0.0) for k in range(k_max + 1)]
+    )
 
 
 def ds1_service_rate_q2(p: AccessProbabilities, l1: float) -> float:

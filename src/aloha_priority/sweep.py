@@ -41,7 +41,6 @@ from .stability import (
 class RegionDataset:
     """Per-l1 envelope values of the four schemes, plus the argmax p."""
 
-    lambda_step: float
     lambda1: np.ndarray
     priority_numeric: np.ndarray
     priority_closed: np.ndarray
@@ -153,7 +152,6 @@ def sweep(p_step: float = 0.01, lambda_step: float = 0.005) -> RegionDataset:
     td = np.array([td_boundary(float(l1)) for l1 in lambda1])
 
     return RegionDataset(
-        lambda_step=lambda_step,
         lambda1=lambda1,
         priority_numeric=numeric,
         priority_closed=closed,

@@ -17,6 +17,7 @@ and a 2-D ``@``;
 fixed p, which the priority region must enclose; and
 ``reference_spectral_radius`` takes one matrix's radius with a numpy
 scalar's ``** 0.5``;
+``reference_ds1_law`` lays the DS1 law out one level at a time in floats;
 ``reference_envelope_at`` maximises the region clauses over a full meshgrid;
 ``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
 ``reference_trajectory`` replays a run with one ``advance_slot`` call per slot;
@@ -56,7 +57,9 @@ from aloha_priority.qbd import (
     spectral_radius_closed_form,
 )
 from aloha_priority.simulate import SimulationConfig, Trajectory, _slopes, _verdict
-from aloha_priority.stability import ds1_mu2, ds2_l2_limit, ds2_mu1, ds3_mu1, ds3_mu2
+from aloha_priority.stability import (
+    ds1_mu2, ds1_steady_state, ds2_l2_limit, ds2_mu1, ds3_mu1, ds3_mu2
+)
 
 
 def _coerce(text: str) -> Any:
@@ -182,6 +185,18 @@ def reference_spectral_radius(r: np.ndarray) -> np.float64:
     det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
     root = (tr * tr - 4.0 * det) ** 0.5
     return max(abs(tr + root), abs(tr - root)) / 2.0
+
+
+def reference_ds1_law(p: AccessProbabilities, l1: float, k_max: int) -> np.ndarray:
+    """Rows (pi0 rho^k, eps1 rho^(k - 1)) for k = 0..k_max, each level's two
+    Python floats computed on their own, with 0 in the reserved phase at
+    level 0."""
+    ss = ds1_steady_state(p, l1)
+    rows = []
+    for k in range(k_max + 1):
+        eps = 0.0 if k == 0 else ss.eps1 * ss.rho ** (k - 1)
+        rows.append((ss.pi0 * ss.rho**k, eps))
+    return np.array(rows)
 
 
 def reference_qbd_grid() -> list[dict[str, Any]]:

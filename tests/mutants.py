@@ -1,0 +1,241 @@
+"""A catalogue of mutants of ``src/`` and the tests that must kill each.
+
+A mutant is a deliberate fault: one exact text of a file under ``src/``,
+replaced by another.  Each entry lists the tests that must fail once it is
+applied, so a change that edits or removes one of those tests can show that
+the fault is still caught.  ``tests/test_mutants.py`` checks in Tier-1 that
+each old text occurs exactly once in its file and that each listed test
+exists, so the catalogue cannot rot unseen.  Running
+
+    python tests/mutants.py
+
+copies the checkout to a temporary directory, runs the listed tests there
+unmutated (they must pass), then applies each mutant in turn and runs its
+tests with pytest.  It prints one line per mutant and exits 1, naming them,
+if any mutant has a listed test that did not fail, and 2 if a mutant does not
+apply or a listed test fails unmutated.  Each mutant costs one
+pytest run of a few seconds, so the run of about a minute stays out of
+Tier-1; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+_TIMEOUT_S = 600  # for one pytest run
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, without parameters
+
+
+_SIM = "src/aloha_priority/simulate.py"
+_BLOCK_LOOP = "tests/test_simulate.py::TestBlockLoop::test_tail_and_long_queues_match_reference"
+_STABILITY = "src/aloha_priority/stability.py"
+_DS1_GATE = "tests/test_stability.py::TestDs1Stationary::test_bytes_match_the_reference"
+_DS1_CERTIFICATE = "tests/test_certificates.py::test_ds1_geometric_law_balances_the_tabulated_kernel"
+_DS1_ORACLE = "tests/test_oracle.py::TestStationary::test_ds1_matches_closed_form"
+_DS1_RESIDUAL = "tests/test_oracle.py::TestApply::test_balance_residual_reads_no_dense_kernel"
+_VERIFY = "src/aloha_priority/verify.py"
+
+MUTANTS = (
+    # the splice of simulate._block_states
+    Mutant(
+        "splice-lengths-without-offset",
+        _SIM,
+        "q1 = flat[at] + offsets[0]\n                    q2 = flat[at + 1] + offsets[1]\n",
+        "q1 = flat[at]\n                    q2 = flat[at + 1]\n",
+        (_BLOCK_LOOP,),
+    ),
+    Mutant(
+        "splice-positive-jump-one-past",
+        _SIM,
+        "found = low[queue].find(1, offset + i, offset + stop) - offset\n",
+        "found = low[queue].find(1, offset + i, offset + stop) - offset + 1\n",
+        (_BLOCK_LOOP,),
+    ),
+    Mutant(
+        "splice-equality-ignores-phase",
+        _SIM,
+        "if state == here[i]:",
+        "if state & 15 == here[i] & 15:",
+        (_BLOCK_LOOP,),
+    ),
+    Mutant(
+        "splice-negative-threshold-3",
+        _SIM,
+        "lengths[i:stop, lane, queue] < 3 - d)",
+        "lengths[i:stop, lane, queue] < 3)",
+        (_BLOCK_LOOP,),
+    ),
+    Mutant(
+        "splice-negative-jump-one-past",
+        _SIM,
+        "found = i + int(below[0]) if below.size else -1",
+        "found = i + int(below[0]) + 1 if below.size else -1",
+        (_BLOCK_LOOP,),
+    ),
+    Mutant(
+        "splice-phase-not-from-lane",
+        _SIM,
+        "                    phase = here[stop] & 16\n",
+        "",
+        (_BLOCK_LOOP,),
+    ),
+    # the DS1 level array
+    Mutant(
+        "ds1-eps-exponent-k",
+        _STABILITY,
+        "rho ** (k - 1)",
+        "rho**k",
+        (_DS1_GATE, _DS1_CERTIFICATE, _DS1_ORACLE, _DS1_RESIDUAL),
+    ),
+    Mutant(
+        "ds1-eps-level-0-is-eps1",
+        _STABILITY,
+        "if k else 0.0",
+        "if k else ss.eps1",
+        (_DS1_GATE, _DS1_CERTIFICATE, _DS1_ORACLE, _DS1_RESIDUAL),
+    ),
+    Mutant(
+        "ds1-eps1-without-divisor",
+        _STABILITY,
+        "eps1 = l1 * p.p2 / (1.0 - l1 * p.p2) * pi0",
+        "eps1 = l1 * p.p2 * pi0",
+        (
+            "tests/test_stability.py::TestDs1Chain::test_steady_state_reference_values",
+            "tests/test_stability.py::TestDs1Chain::test_total_mass_is_one",
+            _DS1_CERTIFICATE,
+            _DS1_ORACLE,
+        ),
+    ),
+    # the oracle cross-checks in verify
+    Mutant(
+        "oracle-tv-other-mode-law",
+        _VERIFY,
+        "law = ds1_stationary if mode is DominanceMode.DS1 else",
+        "law = ds1_stationary if mode is DominanceMode.DS2 else",
+        (
+            "tests/test_acceptance.py::test_criterion_3_oracle_equivalence_ten_points",
+            "tests/test_cli.py::TestVerifyCommand::test_passing_suite",
+        ),
+    ),
+    Mutant(
+        "balance-residual-reads-the-cap",
+        _VERIFY,
+        "np.abs(residual[: k_max - 1])",
+        "np.abs(residual)",
+        (_DS1_RESIDUAL,),
+    ),
+)
+
+
+def _defined(node_id: str) -> bool:
+    """Whether the file, class and test function a node id names exist."""
+    path, *names = node_id.split("::")
+    if not (ROOT / path).is_file():
+        return False
+    scope = ast.parse((ROOT / path).read_text()).body
+    for name in names:
+        defs = (ast.ClassDef, ast.FunctionDef)
+        found = [n for n in scope if isinstance(n, defs) and n.name == name]
+        if not found:
+            return False
+        scope = found[0].body
+    return True
+
+
+def problems(mutant: Mutant) -> list[str]:
+    """What keeps ``mutant`` from applying as written; empty when it applies."""
+    found = []
+    count = (ROOT / mutant.path).read_text().count(mutant.old)
+    if count != 1:
+        found.append(f"{mutant.path}: old text occurs {count} times")
+    if mutant.old == mutant.new:
+        found.append("old and new text are equal")
+    if not mutant.tests:
+        found.append("no test listed")
+    found += [f"no test {node_id}" for node_id in mutant.tests if not _defined(node_id)]
+    return found
+
+
+def _failed(checkout: Path, node_ids: list[str]) -> tuple[int, list[str]]:
+    """Run pytest on ``node_ids`` in ``checkout``: its exit code and the
+    node ids of every test that failed or errored."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE"]
+    try:
+        done = subprocess.run(
+            [*command, *node_ids], cwd=checkout, env=env, capture_output=True, text=True,
+            timeout=_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return -1, list(node_ids)  # a run that hangs counts as failing every test
+    failed = [
+        line.split()[1]
+        for line in done.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1
+    ]
+    return done.returncode, failed
+
+
+def _caught(node_id: str, failed: list[str]) -> bool:
+    """Whether a failure covers ``node_id``: the test itself, one of its
+    parameter cases, or the file or class that holds it."""
+    inside = (node_id + "[", node_id + "::")
+    return any(
+        f == node_id or f.startswith(inside) or node_id.startswith(f + "::") for f in failed
+    )
+
+
+def main() -> int:
+    broken = {m.name: found for m in MUTANTS if (found := problems(m))}
+    if broken:
+        for name, found in broken.items():
+            print(f"{name}: {'; '.join(found)}", file=sys.stderr)
+        return 2
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        checkout = Path(scratch) / "checkout"
+        shutil.copytree(ROOT, checkout, ignore=ignore)
+        listed = sorted({t for m in MUTANTS for t in m.tests})
+        code, failed = _failed(checkout, listed)
+        if code != 0:
+            print(f"the listed tests fail unmutated ({', '.join(failed)})", file=sys.stderr)
+            return 2
+        survivors = []
+        for mutant in MUTANTS:
+            target = checkout / mutant.path
+            original = target.read_text()
+            target.write_text(original.replace(mutant.old, mutant.new))
+            try:
+                _, failed = _failed(checkout, list(mutant.tests))
+            finally:
+                target.write_text(original)
+            passed = [t for t in mutant.tests if not _caught(t, failed)]
+            if passed:
+                survivors.append(mutant.name)
+                print(f"SURVIVED {mutant.name}: passed {', '.join(passed)}")
+            else:
+                print(f"killed   {mutant.name}: {len(failed)} failures")
+    if survivors:
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

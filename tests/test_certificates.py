@@ -19,7 +19,7 @@ from aloha_priority.model import DominanceMode, Phase, ProtocolKind, slot_table
 from aloha_priority.stability import (
     ds1_mu2,
     ds1_rho,
-    ds1_steady_state,
+    ds1_stationary,
     ds2_l2_limit,
     ds2_mu1,
     ds3_mu1,
@@ -259,10 +259,11 @@ def test_priority_envelope_lies_strictly_between_ra_and_td():
 class _InRange:
     """A sympy expression that answers every comparison with False.
 
-    ``ds1_steady_state`` guards its inputs with two comparisons: ``ds1_rho``'s
-    ``den == 0.0``, through ``stability.divisor``, and its own ``rho >= 1``.
-    A symbol cannot decide either; answered False, they let the function
-    return the stable law, its arithmetic kept symbolic.  Arithmetic keeps
+    ``ds1_stationary`` reaches ``ds1_steady_state``, which guards its inputs
+    with two comparisons: ``ds1_rho``'s ``den == 0.0``, through
+    ``stability.divisor``, and its own ``rho >= 1``.  A symbol cannot decide
+    either; answered False, they let the function return the stable law, its
+    arithmetic kept symbolic.  Arithmetic keeps
     the operand's class, so a subclass that answers otherwise
     (``_envelope_branch``) keeps its answers through a whole formula.
     """
@@ -297,13 +298,10 @@ for _name in ("add", "sub", "mul", "truediv", "pow"):
 
 
 def test_ds1_geometric_law_balances_the_tabulated_kernel():
-    # the law as ds1_steady_state computes it, at levels 0..4
+    # the rows of the array ds1_stationary returns, at levels 0..4
     p = SimpleNamespace(p1=_InRange(P1), p2=_InRange(P2))
-    law = ds1_steady_state(p, _InRange(L1))
-    mass = {}
-    for k in range(5):
-        mass[k, Phase.NORMAL] = _expr(law.pi(k))
-        mass[k, Phase.BACKOFF] = _expr(law.eps(k))
+    law = ds1_stationary(p, _InRange(L1), 4)
+    mass = {(k, phase): _expr(law[k, phase]) for k in range(5) for phase in Phase}
 
     # one slot of the DS1 kernel from the slot table, with symbolic coin
     # weights: the tracked queue 1's buffer is nonempty above level 0, and

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from aloha_priority import verify
 from aloha_priority.errors import SingularSystemError
 from aloha_priority.model import (
     AccessProbabilities,
@@ -28,7 +29,7 @@ from aloha_priority.oracle import (
 )
 from aloha_priority.qbd import ds2_stationary, qbd_blocks, spectral_radius_closed_form
 from aloha_priority.simulate import SimulationConfig, run_trajectory
-from aloha_priority.stability import ds1_rho, ds1_steady_state, ds3_mu1, ds3_mu2
+from aloha_priority.stability import ds1_rho, ds1_stationary, ds3_mu1, ds3_mu2
 from aloha_priority.verify import local_balance_residual, oracle_tv
 
 HALF = AccessProbabilities(0.5, 0.5)
@@ -205,7 +206,7 @@ class TestApply:
 
         monkeypatch.setattr(TruncatedChain, "matrix", property(dense))
         for p, l1, value in pinned:
-            assert local_balance_residual(DominanceMode.DS1, p, l1) == value
+            assert local_balance_residual(p, l1) == value
 
 
 class TestStationary:
@@ -270,9 +271,7 @@ class TestStationary:
         for p, l1 in ((HALF, 0.1), (SKEW, 0.15)):
             k_max = 200
             x = stationary(build_chain(DominanceMode.DS1, p, l1, k_max))
-            state = ds1_steady_state(p, l1)
-            law = np.array([(state.pi(k), state.eps(k)) for k in range(k_max + 1)])
-            assert total_variation(x, law) < 1e-8
+            assert total_variation(x, ds1_stationary(p, l1, k_max)) < 1e-8
 
     def test_ds2_matches_closed_form(self):
         for p, l2 in ((HALF, 0.1), (SKEW, 0.2)):
@@ -318,6 +317,13 @@ class TestRandomStablePoints:
                 lambda l2: spectral_radius_closed_form(p, l2), decay, 1e-12, ds3_mu2(p1, p2)
             )
         assert oracle_tv(mode, p, rate, k_max=200) < 1e-8
+
+
+def test_benchmark_law_names_are_the_producers():
+    # the benchmark reads the two closed-form laws by their verify names;
+    # those must be the producers tested here, not copies that could drift
+    assert verify.ds1_analytic_vector is ds1_stationary
+    assert verify.ds2_analytic_vector is ds2_stationary
 
 
 class TestAgainstSimulator:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import conventional_region_contains, reference_region_rows
+from helpers import conventional_region_contains, reference_ds1_law, reference_region_rows
 from numpy.testing import assert_allclose
 
 from aloha_priority import qbd
@@ -17,6 +17,7 @@ from aloha_priority.stability import (
     ds1_region_contains,
     ds1_rho,
     ds1_service_rate_q2,
+    ds1_stationary,
     ds1_steady_state,
     ds2_l2_limit,
     ds2_mu1,
@@ -51,9 +52,10 @@ class TestDs1Chain:
         ss = ds1_steady_state(AccessProbabilities(0.5, 0.5), 0.2)
         assert_allclose(ss.pi0, 0.625, rtol=1e-15)
         assert_allclose(ss.eps1, (0.1 / 0.9) * 0.625, rtol=1e-14)
-        assert ss.eps(0) == 0.0
-        assert_allclose(ss.pi(3), ss.pi0 * ss.rho**3, rtol=1e-15)
-        assert_allclose(ss.eps(3), ss.eps1 * ss.rho**2, rtol=1e-15)
+        law = ds1_stationary(AccessProbabilities(0.5, 0.5), 0.2, 3)
+        assert law[0, 1] == 0.0
+        assert_allclose(law[3, 0], ss.pi0 * ss.rho**3, rtol=1e-15)
+        assert_allclose(law[3, 1], ss.eps1 * ss.rho**2, rtol=1e-15)
 
     def test_unstable_raises(self):
         with pytest.raises(UnstableParameterError):
@@ -92,6 +94,29 @@ class TestDs1Chain:
     def test_service_rate_requires_stability(self):
         with pytest.raises(UnstableParameterError):
             ds1_service_rate_q2(AccessProbabilities(0.5, 0.5), 0.45)
+
+
+class TestDs1Stationary:
+    # the oracle checks and the sympy certificate read this array, so it must
+    # hold the bytes of a one-level-at-a-time loop over plain floats
+    def test_bytes_match_the_reference(self):
+        rng = np.random.default_rng(109)
+        sizes = [0, 1600]
+        found = 0
+        while found < 200:
+            p, l1 = _sample_params(rng)
+            if ds1_rho(p, l1) >= 1.0:
+                continue
+            k_max = sizes[found] if found < len(sizes) else int(rng.integers(0, 1601))
+            law = ds1_stationary(p, l1, k_max)
+            expected = reference_ds1_law(p, l1, k_max)
+            assert law.dtype == expected.dtype and law.shape == (k_max + 1, 2)
+            assert law.tobytes() == expected.tobytes(), (p, l1, k_max)
+            found += 1
+
+    def test_negative_k_max_raises(self):
+        with pytest.raises(ValueError, match="k_max"):
+            ds1_stationary(AccessProbabilities(0.5, 0.5), 0.2, -1)
 
 
 class TestDs3Chain:
