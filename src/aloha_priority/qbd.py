@@ -36,7 +36,9 @@ float's ``**`` calls (numpy's own power and sqrt loops differ from it in the
 last bit at some inputs).  The solver, too, gives each slice the R a lone
 solve of that point returns: a stacked ``matmul``, a 2-D ``matmul`` and a
 2-D ``np.dot`` all make the same BLAS call for a 2x2 product, and a lone
-point steps through ``np.dot``; ``solve_rate_matrix`` says more.
+point steps through ``np.dot``.  Every batch of steps, stacked or lone,
+runs 256 steps, or fewer where the stack would hold more than about 8192
+iterates; ``solve_rate_matrix`` says more.
 
 Level 0 has no reserved-phase state in practice: OFF follows a collision,
 which needs queue 2 nonempty, and the resolving slot serves queue 1.  The
@@ -62,11 +64,9 @@ from .stability import divisor, ds2_mu1, ds3_mu2
 # the fixed point stops once no entry of R moves by this much in one step
 _TOL = 1e-12
 # a batch runs at most _BATCH_STEPS steps and holds about _BATCH_SLICES
-# iterates, so a large stack runs short batches; a lone point's batches grow
-# with the steps it has taken, from _BATCH_STEPS up to _LONE_STEPS
-_BATCH_STEPS = 64
+# iterates, so a large stack runs short batches
+_BATCH_STEPS = 256
 _BATCH_SLICES = 8192
-_LONE_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -173,16 +173,17 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     _TOL, so a slice's R does not depend on its neighbours.  The steps run
     in batches: each batch writes its iterates into one buffer, takes every
     step's change at once, stores each slice's first iterate under _TOL and
-    drops the solved slices from the stack.  Once one slice is left, its
-    steps run on 2-D views through ``np.dot``, in batches that grow from 64
-    steps to 256, so a solve of 64 steps or fewer still runs one batch.  A
-    slice meets the same products and elementwise arithmetic in every batch
-    as in a lone solve: numpy runs every 2x2 slice of a stacked ``matmul``
-    through the same ``cblas_dgemm`` call as a lone 2x2 ``matmul``, and
-    ``np.dot`` on two C-contiguous 2x2 operands makes that call too.  So a
-    slice's R is bit for bit the same, stacked or alone.  No slice takes
-    more than max_iter steps; raises NoConvergenceError if any is still
-    moving after them.
+    drops the solved slices from the stack.  Every batch, stacked or lone,
+    has one rule: 256 steps, or fewer where the stack would hold more than
+    about 8192 iterates, so the 1450-point grid runs 5 steps a batch until
+    points drop out.  Once one slice is left, its steps run on 2-D views
+    through ``np.dot``.  A slice meets the same products and elementwise
+    arithmetic in every batch as in a lone solve: numpy runs every 2x2 slice
+    of a stacked ``matmul`` through the same ``cblas_dgemm`` call as a lone
+    2x2 ``matmul``, and ``np.dot`` on two C-contiguous 2x2 operands makes
+    that call too.  So a slice's R is bit for bit the same, stacked or alone.
+    No slice takes more than max_iter steps; raises NoConvergenceError if any
+    is still moving after them.
     """
     shape = blocks.a1.shape
     m = _inv2(np.eye(2) - blocks.a1, "I - A1").reshape(-1, 2, 2)
@@ -193,8 +194,7 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     r = np.zeros_like(m)
     taken = 0
     while active.size and taken < max_iter:
-        longest = _BATCH_STEPS if active.size > 1 else min(max(_BATCH_STEPS, taken), _LONE_STEPS)
-        steps = min(longest, max(1, _BATCH_SLICES // active.size), max_iter - taken)
+        steps = min(_BATCH_STEPS, max(1, _BATCH_SLICES // active.size), max_iter - taken)
         done, settled, r = _batch(m, a0, a2, r, steps)
         taken += steps
         if done.any():

@@ -79,11 +79,15 @@ _FINAL_FRACTION = 0.01
 _BLOCK = 3
 _UNPACK = [((b & 7) - 3, (b >> 3 & 7) - 3, b >> 6 << 4) for b in range(256)]
 
-# The speculative lanes (see _block_states).  A lane's capped lengths
+# The speculative lanes (see _block_states).  A lane's lengths are int64, the
+# type of the trajectory's own; a table byte keys their step in _DELTA and
+# its next phase << 4 in _NEXT_PHASE.  A lane's capped lengths
 # (min(q1, 3), min(q2, 3)), as a uint8 pair read as one uint16, key their
 # state bits min(q1, 3) << 2 | min(q2, 3) in _CAPPED; _LOW maps a state byte
 # to 1 where its q1 (q2) is below 3; a pass runs _FIRST_WINDOW chunks before
 # the splice may start another.
+_DELTA = np.array([b[:2] for b in _UNPACK], dtype=np.int64)
+_NEXT_PHASE = np.array([b[2] for b in _UNPACK], dtype=np.uint8)
 _PAIRS = np.array([(c1, c2) for c1 in range(4) for c2 in range(4)], dtype=np.uint8)
 _CAPPED = np.zeros(1 << 10, dtype=np.uint8)
 _CAPPED[_PAIRS.view(np.uint16).reshape(-1)] = _PAIRS[:, 0] << 2 | _PAIRS[:, 1]
@@ -274,17 +278,12 @@ def _lanes(words: np.ndarray, block_table: np.ndarray, start: tuple[int, int, in
     each lane from the state ``start``, (q1, q2, phase << 4).
 
     Returns each lane's state byte and (q1, q2) at the start of each of its
-    blocks and after its last block: (chunk + 1) × lanes and (chunk + 1) ×
-    lanes × 2 arrays.
+    blocks and after its last block: a (chunk + 1) × lanes uint8 array and a
+    (chunk + 1) × lanes × 2 int64 array.
     """
     steps, width = words.shape
-    # the narrowest type that holds every length: a block adds at most 3
-    top = max(start[:2]) + 3 * steps
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
-    unpack = np.array(_UNPACK, dtype=dtype)
-    delta, next_phase = np.ascontiguousarray(unpack[:, :2]), unpack[:, 2].astype(np.uint8)
     states = np.empty((steps + 1, width), dtype=np.uint8)
-    lengths = np.empty((steps + 1, width, 2), dtype=dtype)
+    lengths = np.empty((steps + 1, width, 2), dtype=np.int64)
     lengths[0] = start[:2]
     phase = np.full(width, start[2], dtype=np.uint8)
     caps = np.empty((width, 2), dtype=np.uint8)
@@ -294,8 +293,8 @@ def _lanes(words: np.ndarray, block_table: np.ndarray, start: tuple[int, int, in
         np.bitwise_or(_CAPPED.take(cap_keys), phase, out=states[j])
         if j < steps:
             byte = block_table.take(words[j] | states[j])
-            np.add(lengths[j], delta.take(byte, axis=0), out=lengths[j + 1])
-            phase = next_phase.take(byte)
+            np.add(lengths[j], _DELTA.take(byte, axis=0), out=lengths[j + 1])
+            phase = _NEXT_PHASE.take(byte)
     return states, lengths
 
 

@@ -14,7 +14,7 @@ unmutated (they must pass), then applies each mutant in turn and runs its
 tests with pytest.  It prints one line per mutant and exits 1, naming them,
 if any mutant has a listed test that did not fail, and 2 if a mutant does not
 apply or a listed test fails unmutated.  Each mutant costs one
-pytest run of a few seconds, so the run of about a minute stays out of
+pytest run of a few seconds, so the run of about two minutes stays out of
 Tier-1; pytest does not collect this file.
 """
 
@@ -43,6 +43,13 @@ class Mutant(NamedTuple):
 
 _SIM = "src/aloha_priority/simulate.py"
 _BLOCK_LOOP = "tests/test_simulate.py::TestBlockLoop::test_tail_and_long_queues_match_reference"
+_LANES = "tests/test_simulate.py::TestLanes::test_long_starts_match_exact_block_steps"
+_QBD = "src/aloha_priority/qbd.py"
+_GRID = "tests/test_qbd.py::TestStackedSolver::test_grid_stack_matches_reference"
+_STACKS = "tests/test_qbd.py::TestStackedSolver::test_random_stacks_match_reference"
+_STACK_MAX_ITER = "tests/test_qbd.py::TestBatchEdges::test_stack_stops_at_max_iter"
+_LONG_LONE = "tests/test_qbd.py::TestLongLoneSolve::test_matches_reference"
+_QBD_BYTES = "tests/test_cli.py::TestClosedFormBytes::test_verify_bytes_pinned"
 _STABILITY = "src/aloha_priority/stability.py"
 _DS1_GATE = "tests/test_stability.py::TestDs1Stationary::test_bytes_match_the_reference"
 _DS1_CERTIFICATE = "tests/test_certificates.py::test_ds1_geometric_law_balances_the_tabulated_kernel"
@@ -93,6 +100,66 @@ MUTANTS = (
         "                    phase = here[stop] & 16\n",
         "",
         (_BLOCK_LOOP,),
+    ),
+    # the speculative lanes of simulate._lanes.  A fault that makes a lane's
+    # state byte disagree with its own capped lengths, such as a cap of 2,
+    # stalls the splice on one block until the pytest timeout, so each of
+    # these keeps that agreement
+    Mutant(
+        "lanes-int16-lengths",
+        _SIM,
+        "lengths = np.empty((steps + 1, width, 2), dtype=np.int64)",
+        "lengths = np.empty((steps + 1, width, 2), dtype=np.int16)",
+        (_LANES,),
+    ),
+    Mutant(
+        "lanes-next-phase-flipped",
+        _SIM,
+        "_NEXT_PHASE = np.array([b[2] for b in _UNPACK], dtype=np.uint8)",
+        "_NEXT_PHASE = np.array([b[2] ^ 16 for b in _UNPACK], dtype=np.uint8)",
+        (_BLOCK_LOOP, _LANES),
+    ),
+    # the stacked fixed point of qbd.solve_rate_matrix
+    Mutant(
+        "solver-one-stop-for-the-stack",
+        _QBD,
+        "settled = np.abs(change, out=change).max(axis=(2, 3)) < _TOL",
+        "settled = (np.abs(change, out=change).max(axis=(1, 2, 3)) < _TOL)[:, None]"
+        ".repeat(len(r), axis=1)",
+        (
+            _GRID,
+            _STACKS,
+            _STACK_MAX_ITER,
+            "tests/test_qbd.py::TestStackedSolver::test_critical_member_does_not_converge",
+        ),
+    ),
+    Mutant(
+        "solver-inverse-by-linalg",
+        _QBD,
+        "return adjugate / det[..., None, None]",
+        "return np.linalg.inv(m)",
+        (_GRID, _STACKS, _LONG_LONE, _QBD_BYTES),
+    ),
+    Mutant(
+        "solver-einsum-product",
+        _QBD,
+        "product, views = np.matmul, list(iterates)",
+        'product, views = (lambda a, b, out: np.einsum("...ij,...jk->...ik", a, b, out=out)),'
+        " list(iterates)",
+        (_GRID, _STACKS, _STACK_MAX_ITER),
+    ),
+    Mutant(
+        "solver-extra-step-after-convergence",
+        _QBD,
+        "first = settled.argmax(axis=0)[done] + 1",
+        "first = np.minimum(settled.argmax(axis=0)[done] + 2, steps)",
+        (
+            _GRID,
+            _STACKS,
+            "tests/test_qbd.py::TestStackedSolver::test_single_point_keeps_its_shape",
+            _LONG_LONE,
+            _QBD_BYTES,
+        ),
     ),
     # the DS1 level array
     Mutant(

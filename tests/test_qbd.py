@@ -276,12 +276,14 @@ class TestBatchEdges:
         ends = np.cumsum(_batch_lengths(monkeypatch, stack_blocks(_UNEVEN)))
         assert not set(steps) & set(ends)
 
-    def test_lone_batches_grow_from_64_to_256(self, monkeypatch):
-        # a solve of 64 steps or fewer runs one 64-step batch
-        assert _batch_lengths(monkeypatch, _UNEVEN[0]) == [64]
+    def test_one_batch_rule(self, monkeypatch):
+        # min(256, max(1, 8192 // points), max_iter - taken) steps a batch,
+        # for a lone point and for a stack alike
         p1, p2, l2 = NEAR_CRITICAL[0]  # 3363 steps
         far = qbd_blocks(AccessProbabilities(p1, p2), l2)
-        assert _batch_lengths(monkeypatch, far) == [64, 64, 128] + [256] * 13
+        assert _batch_lengths(monkeypatch, far) == [256] * 14
+        assert _batch_lengths(monkeypatch, stack_blocks(_UNEVEN)) == [256] * 3
+        assert _batch_lengths(monkeypatch, stack_blocks(_grid_blocks()))[0] == 5
 
     @pytest.mark.parametrize("blocks", _UNEVEN, ids=["l2=0.1", "l2=0.15", "l2=0.19"])
     def test_lone_point_stops_at_max_iter(self, blocks):
@@ -304,8 +306,8 @@ class TestBatchEdges:
 
     def test_grid_solve_memory_is_bounded(self):
         # the batch length shrinks as the stack grows: 1450 points run five
-        # steps a batch and peak near 1 MB, where 64-step batches would take
-        # 7 MB; a lone point's batches, at most 256 steps, hold 8 kB
+        # steps a batch and peak near 1 MB, where 256-step batches would take
+        # about 25 MB; a lone point's batches, at most 256 steps, hold 8 kB
         stack = stack_blocks(_grid_blocks())
         tracemalloc.start()
         try:
@@ -324,7 +326,7 @@ def near_critical(request):
 
 
 class TestLongLoneSolve:
-    """Thousands of lone steps in growing batches, bit for bit the reference's."""
+    """Thousands of lone steps in 256-step batches, bit for bit the reference's."""
 
     def test_matches_reference(self, near_critical):
         blocks, r, n = near_critical

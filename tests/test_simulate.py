@@ -30,6 +30,7 @@ from aloha_priority.simulate import (
     SimulationConfig,
     Trajectory,
     _block_table,
+    _lanes,
     _slopes,
     run,
     run_trajectory,
@@ -382,6 +383,39 @@ class TestBlockLoop:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * config.horizon
+
+
+class TestLanes:
+    # lanes that start from lengths past 2**15 and past 2**31, and from one
+    # just below 2**15 that grows past it; three of the starts put the other
+    # queue near empty, where the cap of 3 decides the table entry
+    @pytest.mark.parametrize(
+        "start",
+        [(2**15 - 2, 1, 0), (2**15 + 3, 2, 16), (1, 2**31 + 7, 0), (2**31 - 1, 2**15, 16)],
+    )
+    @pytest.mark.parametrize("mode", [DominanceMode.NONE, DominanceMode.DS1])
+    def test_long_starts_match_exact_block_steps(self, mode, start):
+        table = np.array(slot_table(ProtocolKind.FEEDBACK_PRIORITY, mode), dtype=np.int8)
+        block = np.frombuffer(_block_table(table), dtype=np.uint8)
+        rng = np.random.default_rng(start[0] ^ start[1])
+        steps, width = 120, 6
+        # the longer queue's arrival coin is set in every slot, so it never
+        # shrinks; every other coin is random
+        arrivals = 0x111 if start[0] > start[1] else 0x222
+        words = (rng.integers(0, 4096, size=(steps, width)) | arrivals).astype(np.uint32) << 5
+        states, lengths = _lanes(words, block, start)
+        assert states.shape == (steps + 1, width) and lengths.shape == (steps + 1, width, 2)
+        for lane in range(width):
+            q1, q2, phase = start
+            for j in range(steps + 1):
+                state = phase | min(q1, 3) << 2 | min(q2, 3)
+                assert (states[j, lane], *lengths[j, lane]) == (state, q1, q2)
+                if j < steps:
+                    byte = int(block[int(words[j, lane]) | state])
+                    q1 += (byte & 7) - 3
+                    q2 += (byte >> 3 & 7) - 3
+                    phase = byte >> 6 << 4
+        assert lengths.max() >= max(start[:2]) + 3
 
 
 def _three_slots(table, phase, q1, q2, word):
