@@ -35,10 +35,12 @@ square of an array goes through ``np.float_power``, the libm ``pow`` that a
 float's ``**`` calls (numpy's own power and sqrt loops differ from it in the
 last bit at some inputs).  The solver, too, gives each slice the R a lone
 solve of that point returns: a stacked ``matmul``, a 2-D ``matmul`` and a
-2-D ``np.dot`` all make the same BLAS call for a 2x2 product, and a lone
-point steps through ``np.dot``.  Every batch of steps, stacked or lone,
-runs 256 steps, or fewer where the stack would hold more than about 8192
-iterates; ``solve_rate_matrix`` says more.
+2-D ``np.ndarray.dot`` all make the same BLAS call for a 2x2 product, and a
+lone point steps through ``np.ndarray.dot``, which skips the
+``__array_function__`` dispatch of ``np.dot`` (about a third of a 2x2
+product's cost).  Every batch of steps, stacked or lone, runs 256 steps, or
+fewer where the stack would hold more than about 8192 iterates;
+``solve_rate_matrix`` says more.
 
 Level 0 has no reserved-phase state in practice: OFF follows a collision,
 which needs queue 2 nonempty, and the resolving slot serves queue 1.  The
@@ -141,9 +143,10 @@ def _batch(
     square = np.empty_like(r)
     inner = np.empty_like(r)
     if len(r) == 1:
-        # a lone slice steps on 2-D views: np.dot makes the same gemm call
-        # as a stacked matmul's slice, with less of numpy's dispatch around it
-        product, views = np.dot, list(iterates[:, 0])
+        # a lone slice steps on 2-D views: ndarray.dot makes the same gemm
+        # call as a stacked matmul's slice, and skips the __array_function__
+        # dispatch that np.dot adds around it
+        product, views = np.ndarray.dot, list(iterates[:, 0])
         m, a0, a2, square, inner = m[0], a0[0], a2[0], square[0], inner[0]
     else:
         product, views = np.matmul, list(iterates)
@@ -154,7 +157,13 @@ def _batch(
         add(a2, inner, inner)
         product(m, inner, nxt)
     change = np.diff(iterates, axis=0)
-    settled = np.abs(change, out=change).max(axis=(2, 3)) < _TOL
+    # each slice's largest |change| as elementwise maxima of its four
+    # entries, which is exact, keeps NaN and costs far less than a reduction
+    # over the two 2-wide axes
+    entry = np.abs(change, out=change).reshape(steps, -1, 4)
+    top = np.maximum(entry[..., 0], entry[..., 1])
+    bottom = np.maximum(entry[..., 2], entry[..., 3])
+    settled = np.maximum(top, bottom) < _TOL
     done = settled.any(axis=0)
     first = settled.argmax(axis=0)[done] + 1
     return done, iterates[first, np.flatnonzero(done)], iterates[-1].copy()
@@ -177,13 +186,18 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     has one rule: 256 steps, or fewer where the stack would hold more than
     about 8192 iterates, so the 1450-point grid runs 5 steps a batch until
     points drop out.  Once one slice is left, its steps run on 2-D views
-    through ``np.dot``.  A slice meets the same products and elementwise
-    arithmetic in every batch as in a lone solve: numpy runs every 2x2 slice
-    of a stacked ``matmul`` through the same ``cblas_dgemm`` call as a lone
-    2x2 ``matmul``, and ``np.dot`` on two C-contiguous 2x2 operands makes
-    that call too.  So a slice's R is bit for bit the same, stacked or alone.
-    No slice takes more than max_iter steps; raises NoConvergenceError if any
-    is still moving after them.
+    through ``np.ndarray.dot``, the method form of ``np.dot``: both reach the
+    same C product, and the method skips ``np.dot``'s
+    ``__array_function__`` dispatch, a third of the cost of a 2x2 product.
+    A slice meets the same products and elementwise arithmetic in every batch
+    as in a lone solve: numpy runs every 2x2 slice of a stacked ``matmul``
+    through the same ``cblas_dgemm`` call as a lone 2x2 ``matmul``, and
+    ``ndarray.dot`` on two C-contiguous 2x2 operands makes that call too.
+    So a slice's R is bit for bit the same, stacked or alone.  A batch takes
+    each slice's largest change as elementwise maxima of its four entries:
+    the exact maximum, NaN included, without numpy's slower reduction over
+    2x2 slices.  No slice takes more than max_iter steps; raises
+    NoConvergenceError if any is still moving after them.
     """
     shape = blocks.a1.shape
     m = _inv2(np.eye(2) - blocks.a1, "I - A1").reshape(-1, 2, 2)

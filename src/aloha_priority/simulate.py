@@ -359,6 +359,13 @@ def _block_states(words: np.ndarray, block_table: bytes) -> bytearray:
                             continue
                         if found >= 0:
                             stop = found
+                    if stop == i:
+                        # equal bytes with a nonzero offset prove a block only
+                        # where the lane's byte agrees with its own lengths
+                        raise RuntimeError(
+                            f"lane {lane} state byte disagrees with its lengths"
+                            f" at block {begin + i}"
+                        )
                     states += here[i:stop]
                     copied += stop - i
                     at = 2 * (stop * width + lane)

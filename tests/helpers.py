@@ -9,8 +9,8 @@ block-tridiagonal matrix for comparison with the enumerated oracle kernel;
 ``reference_fixed_point`` solves one point at a time with 2x2 arithmetic and
 counts its steps, and ``reference_rate_matrix`` keeps its R;
 ``product_premise_operands`` and ``product_mismatches`` test that a 2x2
-product gives the same bits through a stacked ``matmul``, a 2-D ``np.dot``
-and a 2-D ``@``;
+product gives the same bits through a stacked ``matmul``, a 2-D
+``np.ndarray.dot``, a 2-D ``np.dot`` and a 2-D ``@``;
 ``reference_region_rows`` and ``reference_qbd_grid`` walk the ``region`` and
 ``verify --suite qbd`` grids one point at a time with plain floats;
 ``conventional_region_contains`` is the conventional random-access region at
@@ -289,16 +289,20 @@ def product_premise_operands(pairs: int = 20_000, seed: int = 19) -> tuple[np.nd
 
 
 def product_mismatches(left: np.ndarray, right: np.ndarray) -> int:
-    """How many products left[i] right[i] are not the same bits three ways:
-    slice i of one stacked ``np.matmul``, ``np.dot`` of the C-contiguous 2-D
-    slices into an ``out=`` buffer (a lone point's step in
-    ``qbd.solve_rate_matrix``), and a 2-D ``@`` (``reference_fixed_point``)."""
+    """How many products left[i] right[i] are not the same bits four ways:
+    slice i of one stacked ``np.matmul``, ``np.ndarray.dot`` of the
+    C-contiguous 2-D slices into an ``out`` buffer (a lone point's step in
+    ``qbd.solve_rate_matrix``), ``np.dot`` the same way, and a 2-D ``@``
+    (``reference_fixed_point``)."""
     stacked = np.matmul(left, right)
-    out = np.empty((2, 2))
+    method, function = np.empty((2, 2)), np.empty((2, 2))
     mismatches = 0
     for a, b, c in zip(left, right, stacked):
-        np.dot(a, b, out)
-        mismatches += not (out.tobytes() == c.tobytes() == (a @ b).tobytes())
+        np.ndarray.dot(a, b, method)
+        np.dot(a, b, function)
+        mismatches += not (
+            method.tobytes() == c.tobytes() == function.tobytes() == (a @ b).tobytes()
+        )
     return mismatches
 
 

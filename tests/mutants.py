@@ -101,10 +101,7 @@ MUTANTS = (
         "",
         (_BLOCK_LOOP,),
     ),
-    # the speculative lanes of simulate._lanes.  A fault that makes a lane's
-    # state byte disagree with its own capped lengths, such as a cap of 2,
-    # stalls the splice on one block until the pytest timeout, so each of
-    # these keeps that agreement
+    # the speculative lanes of simulate._lanes
     Mutant(
         "lanes-int16-lengths",
         _SIM,
@@ -119,12 +116,19 @@ MUTANTS = (
         "_NEXT_PHASE = np.array([b[2] ^ 16 for b in _UNPACK], dtype=np.uint8)",
         (_BLOCK_LOOP, _LANES),
     ),
+    Mutant(
+        "lanes-capped-at-2",
+        _SIM,
+        'np.minimum(lengths[j], 3, out=caps, casting="unsafe")',
+        'np.minimum(lengths[j], 2, out=caps, casting="unsafe")',
+        (_BLOCK_LOOP, _LANES),
+    ),
     # the stacked fixed point of qbd.solve_rate_matrix
     Mutant(
         "solver-one-stop-for-the-stack",
         _QBD,
-        "settled = np.abs(change, out=change).max(axis=(2, 3)) < _TOL",
-        "settled = (np.abs(change, out=change).max(axis=(1, 2, 3)) < _TOL)[:, None]"
+        "settled = np.maximum(top, bottom) < _TOL",
+        "settled = (np.maximum(top, bottom).max(axis=1) < _TOL)[:, None]"
         ".repeat(len(r), axis=1)",
         (
             _GRID,
@@ -132,6 +136,20 @@ MUTANTS = (
             _STACK_MAX_ITER,
             "tests/test_qbd.py::TestStackedSolver::test_critical_member_does_not_converge",
         ),
+    ),
+    Mutant(
+        "solver-stop-ignores-r01",
+        _QBD,
+        "top = np.maximum(entry[..., 0], entry[..., 1])",
+        "top = entry[..., 0]",
+        (_GRID, _STACKS, _QBD_BYTES),
+    ),
+    Mutant(
+        "solver-lone-product-swapped",
+        _QBD,
+        "product, views = np.ndarray.dot, list(iterates[:, 0])",
+        "product, views = (lambda a, b, out: np.ndarray.dot(b, a, out)), list(iterates[:, 0])",
+        (_LONG_LONE, _QBD_BYTES),
     ),
     Mutant(
         "solver-inverse-by-linalg",

@@ -23,7 +23,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aloha_priority import qbd, reports
+from aloha_priority import cli, qbd, reports
 from aloha_priority.cli import main
 from aloha_priority.model import AccessProbabilities, ArrivalRates
 from aloha_priority.stability import union_region_contains
@@ -398,6 +398,38 @@ _EDGES = st.sampled_from(["0", "1", "1e-300", repr(1 - 1e-16), "nan", "inf", "-0
 
 def _no_constant(name):
     raise ValueError(f"json output holds {name}")
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; a usage error or a
+    ``--help`` on it must leave every later parse as the first one was."""
+
+    VALID = [
+        ["boundary", "--scheme", "td", "--step", "0.1", "--format", "json"],
+        ["boundary", "--scheme", "td", "--step", "0.1"],
+        ["region", "--p1", "0.5", "--p2", "0.5", "--lambda-step", "0.1"],
+        ["simulate", "--p1", "0.5", "--p2", "0.5", "--l1", "0.2", "--l2", "0.2",
+         "--slots", "2000"],
+    ]
+    INTERRUPTIONS = [
+        (["boundary"], 1),
+        (["--help"], 0),
+        (["region", "--p1", "0.5", "--p2", "0.5", "--lambda-step", "0.3"], 1),
+        (["simulate", "--help"], 0),
+        (["simulate", "--kind", "nope", "--p1", "0.5"], 1),
+        (["analyze", "qbd", "--help"], 0),
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_interleaved_errors_and_help_leave_commands_unchanged(self, capsys):
+        first = [_run(capsys, argv)[:2] for argv in self.VALID]
+        assert [code for code, _ in first] == [0] * len(self.VALID)
+        for argv, code in self.INTERRUPTIONS:
+            for valid, expected in zip(self.VALID, first):
+                assert _run(capsys, argv)[0] == code
+                assert _run(capsys, valid)[:2] == expected
 
 
 class TestEdgeInputs:

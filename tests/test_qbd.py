@@ -220,10 +220,11 @@ print(product_mismatches(*product_premise_operands()))
 
 
 class TestProductPremise:
-    """A lone point steps through ``np.dot`` on 2-D views and a stack through
-    one stacked ``np.matmul``; the solver's bit identity rests on both making
-    the same BLAS call for a 2x2 product.  A numpy or BLAS build that breaks
-    that fails here, by name, before any digest moves."""
+    """A lone point steps through ``np.ndarray.dot`` on 2-D views and a stack
+    through one stacked ``np.matmul``; the solver's bit identity rests on both
+    making the same BLAS call for a 2x2 product, as ``np.dot`` and a 2-D ``@``
+    do.  A numpy or BLAS build that breaks that fails here, by name, before
+    any digest moves."""
 
     def test_dot_matches_stacked_matmul(self):
         left, right = product_premise_operands()

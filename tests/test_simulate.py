@@ -3,6 +3,7 @@ the three-slot block table against ``slot_table``, and the table-driven kernel
 against one ``advance_slot`` call per slot."""
 
 import dataclasses
+import signal
 import tracemalloc
 
 import numpy as np
@@ -416,6 +417,36 @@ class TestLanes:
                     q2 += (byte >> 3 & 7) - 3
                     phase = byte >> 6 << 4
         assert lengths.max() >= max(start[:2]) + 3
+
+    def test_lane_byte_against_its_lengths_fails_fast(self, monkeypatch):
+        """Lanes whose state bytes cap their lengths at 2, not 3, make the
+        splice meet a block it can neither prove nor step past; it raises
+        within seconds where it used to spin on that block."""
+        lanes = simulate._lanes
+
+        def capped_at_two(words, block_table, start):
+            states, lengths = lanes(words, block_table, start)
+            capped = np.minimum(lengths, 2).astype(np.uint8)
+            return states & 16 | capped[..., 0] << 2 | capped[..., 1], lengths
+
+        def timed_out(signum, frame):
+            raise TimeoutError("the splice did not fail within 20 s")
+
+        monkeypatch.setattr(simulate, "_lanes", capped_at_two)
+        # queue 1 wanders far from empty, so lanes and truth differ in length
+        config = _config(
+            kind=ProtocolKind.CONVENTIONAL_RA, mode=DominanceMode.DS3,
+            p=AccessProbabilities(0.294, 0.443), l=ArrivalRates(0.164, 0.038),
+            horizon=200_000,
+        )
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(20)
+        try:
+            with pytest.raises(RuntimeError, match=r"lane \d+ .* at block \d+"):
+                run_trajectory(config)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def _three_slots(table, phase, q1, q2, word):
