@@ -137,8 +137,6 @@ def build_chain(
     for phase in Phase:
         for (arr, w_a), (d1, w_1), (d2, w_2) in product(*coins):
             weight = w_a * w_1 * w_2
-            if weight == 0.0:
-                continue
             for cls in range(3):
                 key = phase << 6 | min(cls, 1) << nz_bit | d2 << 3 | d1 << 2 | arr << arr_bit
                 entry = table[key]

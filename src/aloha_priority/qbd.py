@@ -34,13 +34,8 @@ arithmetic is the same IEEE operations in the same order, and a root or a
 square of an array goes through ``np.float_power``, the libm ``pow`` that a
 float's ``**`` calls (numpy's own power and sqrt loops differ from it in the
 last bit at some inputs).  The solver, too, gives each slice the R a lone
-solve of that point returns: a stacked ``matmul``, a 2-D ``matmul`` and a
-2-D ``np.ndarray.dot`` all make the same BLAS call for a 2x2 product, and a
-lone point steps through ``np.ndarray.dot``, which skips the
-``__array_function__`` dispatch of ``np.dot`` (about a third of a 2x2
-product's cost).  Every batch of steps, stacked or lone, runs 256 steps, or
-fewer where the stack would hold more than about 8192 iterates;
-``solve_rate_matrix`` says more.
+solve of that point returns; ``solve_rate_matrix`` says why, and how its
+steps run in batches.
 
 Level 0 has no reserved-phase state in practice: OFF follows a collision,
 which needs queue 2 nonempty, and the resolving slot serves queue 1.  The
@@ -143,9 +138,8 @@ def _batch(
     square = np.empty_like(r)
     inner = np.empty_like(r)
     if len(r) == 1:
-        # a lone slice steps on 2-D views: ndarray.dot makes the same gemm
-        # call as a stacked matmul's slice, and skips the __array_function__
-        # dispatch that np.dot adds around it
+        # a lone slice steps on 2-D views through ndarray.dot, the same
+        # product as a stacked slice's (see solve_rate_matrix)
         product, views = np.ndarray.dot, list(iterates[:, 0])
         m, a0, a2, square, inner = m[0], a0[0], a2[0], square[0], inner[0]
     else:
@@ -186,18 +180,18 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     has one rule: 256 steps, or fewer where the stack would hold more than
     about 8192 iterates, so the 1450-point grid runs 5 steps a batch until
     points drop out.  Once one slice is left, its steps run on 2-D views
-    through ``np.ndarray.dot``, the method form of ``np.dot``: both reach the
-    same C product, and the method skips ``np.dot``'s
-    ``__array_function__`` dispatch, a third of the cost of a 2x2 product.
-    A slice meets the same products and elementwise arithmetic in every batch
-    as in a lone solve: numpy runs every 2x2 slice of a stacked ``matmul``
-    through the same ``cblas_dgemm`` call as a lone 2x2 ``matmul``, and
-    ``ndarray.dot`` on two C-contiguous 2x2 operands makes that call too.
-    So a slice's R is bit for bit the same, stacked or alone.  A batch takes
-    each slice's largest change as elementwise maxima of its four entries:
-    the exact maximum, NaN included, without numpy's slower reduction over
-    2x2 slices.  No slice takes more than max_iter steps; raises
-    NoConvergenceError if any is still moving after them.
+    through ``np.ndarray.dot``, the method form of ``np.dot``, which skips
+    ``np.dot``'s ``__array_function__`` dispatch, a third of the cost of a
+    2x2 product.  A slice meets the same products and elementwise arithmetic
+    in every batch as in a lone solve: numpy runs every 2x2 slice of a
+    stacked ``matmul`` through the same ``cblas_dgemm`` call as a lone 2x2
+    ``matmul``, and ``ndarray.dot`` on two C-contiguous 2x2 operands makes
+    that call too (``TestProductPremise``).  So a slice's R is bit for bit
+    the same, stacked or alone.  A batch takes each slice's largest change as
+    elementwise maxima of its four entries: the exact maximum, NaN included,
+    without numpy's slower reduction over 2x2 slices.  No slice takes more
+    than max_iter steps; raises NoConvergenceError if any is still moving
+    after them.
     """
     shape = blocks.a1.shape
     m = _inv2(np.eye(2) - blocks.a1, "I - A1").reshape(-1, 2, 2)

@@ -398,11 +398,11 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
     ]
     rates = (config.l.l1, config.l.l2, config.p.p1, config.p.p2)
     # the tail block is padded with zero codes; its padding slots are cut off
-    codes = np.zeros(-(-n // _BLOCK) * _BLOCK, dtype=np.uint8)
+    codes = np.zeros(-(-n // _BLOCK) * _BLOCK, dtype=np.int8)
     draws = np.empty(n)
     for bit, (stream, rate) in enumerate(zip(streams, rates)):
         stream.random(out=draws)
-        codes[:n] |= (draws < rate).view(np.uint8) << bit
+        codes[:n] |= (draws < rate).view(np.int8) << bit
     del draws
 
     blocks = codes.reshape(-1, _BLOCK)
@@ -415,7 +415,6 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
     del words
 
     # each block's slot keys overwrite its coins in place
-    blocks = blocks.view(np.int8)
     for j, key in enumerate(_block_keys(table, np.frombuffer(states, np.int8), blocks.T)):
         blocks[:, j] = key
     del states, key
@@ -429,7 +428,7 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
     return Trajectory(
         q1=np.cumsum(q1, out=q1),
         q2=np.cumsum(q2, out=q2),
-        phase_start=(keys >> 6).astype(np.int8),
+        phase_start=keys >> 6,
         outcome=outcome[keys],
         # a packet at access time: the buffer was nonempty or one arrived
         busy1=(keys & 0b100001) != 0,

@@ -56,6 +56,7 @@ _DS1_CERTIFICATE = "tests/test_certificates.py::test_ds1_geometric_law_balances_
 _DS1_ORACLE = "tests/test_oracle.py::TestStationary::test_ds1_matches_closed_form"
 _DS1_RESIDUAL = "tests/test_oracle.py::TestApply::test_balance_residual_reads_no_dense_kernel"
 _VERIFY = "src/aloha_priority/verify.py"
+_KERNEL = "tests/test_simulate.py::TestKernelEquality::test_matches_advance_slot_reference"
 
 MUTANTS = (
     # the splice of simulate._block_states
@@ -100,6 +101,22 @@ MUTANTS = (
         "                    phase = here[stop] & 16\n",
         "",
         (_BLOCK_LOOP,),
+    ),
+    # the slot keys of simulate.run_trajectory
+    Mutant(
+        "keys-uint8",
+        _SIM,
+        "codes = np.zeros(-(-n // _BLOCK) * _BLOCK, dtype=np.int8)\n"
+        "    draws = np.empty(n)\n"
+        "    for bit, (stream, rate) in enumerate(zip(streams, rates)):\n"
+        "        stream.random(out=draws)\n"
+        "        codes[:n] |= (draws < rate).view(np.int8) << bit\n",
+        "codes = np.zeros(-(-n // _BLOCK) * _BLOCK, dtype=np.uint8)\n"
+        "    draws = np.empty(n)\n"
+        "    for bit, (stream, rate) in enumerate(zip(streams, rates)):\n"
+        "        stream.random(out=draws)\n"
+        "        codes[:n] |= (draws < rate).view(np.uint8) << bit\n",
+        (_KERNEL,),
     ),
     # the speculative lanes of simulate._lanes
     Mutant(
@@ -223,6 +240,17 @@ MUTANTS = (
         "np.abs(residual[: k_max - 1])",
         "np.abs(residual)",
         (_DS1_RESIDUAL,),
+    ),
+    # the package root
+    Mutant(
+        "root-reexports-sweep",
+        "src/aloha_priority/__init__.py",
+        '__version__ = "0.1.0"',
+        'from .sweep import sweep\n\n__version__ = "0.1.0"',
+        (
+            "tests/test_surface.py::test_root_exports_exactly_the_readme_names",
+            "tests/test_surface.py::test_sweep_module_is_not_hidden_by_a_root_name",
+        ),
     ),
 )
 

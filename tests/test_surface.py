@@ -21,11 +21,23 @@ never flag a used one.
 One design rule is checked the same way: outside ``oracle.py`` no module of
 the package reads an attribute named ``matrix``, so the oracle's dense
 kernel stays the input of its solve and nothing else.
+
+The package root holds exactly the names the README's "Library use" example
+imports, plus ``__version__``: that example runs and gives the results its
+comments state, and no root name hides a submodule of the same name.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+from types import ModuleType
+
+import numpy as np
+
+import aloha_priority
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "aloha_priority"
@@ -172,3 +184,65 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
         if not any(_passes(call, parameter, position) for call in calls.get(callee, []))
     ]
     assert dead == []
+
+
+def _library_example() -> str:
+    """The fenced Python block under the README's "## Library use" heading."""
+    section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def _holds(value, comment: str) -> bool:
+    """Whether ``value`` is what a result comment of the example states:
+    ``(6, 2) array`` is a shape, ``0.4576...`` a prefix of the printed value,
+    anything else a literal before an optional parenthesised note."""
+    if comment.endswith(" array"):
+        return np.shape(value) == ast.literal_eval(comment.removesuffix(" array"))
+    if comment.endswith("..."):
+        return str(value).startswith(comment.removesuffix("..."))
+    return value == ast.literal_eval(comment.split(" (")[0])
+
+
+def test_readme_library_example_gives_its_commented_results():
+    source = _library_example()
+    lines = source.splitlines()
+    namespace: dict = {}
+    results = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            comment = lines[node.end_lineno - 1].split("#", 1)[1].strip()
+            results.append((value, comment))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert [comment for value, comment in results if not _holds(value, comment)] == []
+    assert len(results) == 6
+
+
+def test_root_exports_exactly_the_readme_names():
+    imported = [
+        alias.name
+        for node in ast.parse(_library_example()).body
+        if isinstance(node, ast.ImportFrom) and node.module == "aloha_priority"
+        for alias in node.names
+    ]
+    exported = {
+        name
+        for name, value in vars(aloha_priority).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert len(imported) == 9
+    assert exported == set(imported)
+    assert isinstance(aloha_priority.__version__, str)
+
+
+def test_sweep_module_is_not_hidden_by_a_root_name():
+    # a fresh interpreter, so no earlier import has bound the attribute
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import aloha_priority.sweep as m; print(type(m).__name__, "
+         "callable(m.envelope_at))"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (done.stdout, done.stderr) == ("module True\n", "")
