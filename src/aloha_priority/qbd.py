@@ -279,26 +279,20 @@ def spectral_radius_closed_form(p: AccessProbabilities, l2: float) -> float | np
 def ds2_pi0(p: AccessProbabilities, l2: float) -> float:
     """Stationary probability of an empty queue 2 in phase ON.
 
-    Exists iff l2 < mu2'' (``stability.ds3_mu2``); raises UnstableParameterError
-    otherwise, and DegenerateParameterError first where ``_down_rate`` is 0
-    (p1 = 1 or p2 = 0 included, where that bound is identically zero).
+    Exists iff l2 < mu2'' (``stability.ds3_mu2``), which is sp(R) < 1.  This
+    is the guard of every DS2 law: it raises UnstableParameterError unless
+    both hold in floating point, since a few ulps below mu2'' the closed-form
+    sp(R) can round to 1, where the fixed point would stall.  Raises
+    DegenerateParameterError first where ``_down_rate`` is 0 (p1 = 1 or
+    p2 = 0 included, where that bound is identically zero).
     """
     p1, p2 = p.p1, p.p2
     d = _down_rate(p, l2)
-    if l2 >= ds3_mu2(p1, p2):
+    if l2 >= ds3_mu2(p1, p2) or spectral_radius(rate_matrix_closed_form(p, l2)) >= 1.0:
         raise UnstableParameterError(
             f"queue 2 unstable under saturated queue 1 at l2 = {l2}"
         )
     return (p2 - l2 - p1 * p2 - l2 * p1 * p2) / d
-
-
-def _ds2_law(p: AccessProbabilities, l2: float) -> tuple[float, np.ndarray]:
-    """(pi_0, R) of the queue-2 chain; raises where no stationary law exists."""
-    pi0 = ds2_pi0(p, l2)
-    r = rate_matrix_closed_form(p, l2)
-    if spectral_radius(r) >= 1.0:
-        raise UnstableParameterError("sp(R) >= 1; no stationary law")
-    return pi0, r
 
 
 def ds2_stationary(p: AccessProbabilities, l2: float, k_max: int) -> np.ndarray:
@@ -311,7 +305,7 @@ def ds2_stationary(p: AccessProbabilities, l2: float, k_max: int) -> np.ndarray:
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    pi0, r = _ds2_law(p, l2)
+    pi0, r = ds2_pi0(p, l2), rate_matrix_closed_form(p, l2)
     levels = np.empty((k_max + 1, 2))
     v = np.array([pi0, 0.0])
     for k in range(k_max + 1):
@@ -338,7 +332,7 @@ def ds2_service_rate_q1_series(p: AccessProbabilities, l2: float) -> float:
 
         mu1 = p1 (1 - l2 p2) pi_0 + sum_{k>=1} [p1 (1 - p2) pi_k + eps_k].
     """
-    pi0, r = _ds2_law(p, l2)
+    pi0, r = ds2_pi0(p, l2), rate_matrix_closed_form(p, l2)
     tail = _inv2(np.eye(2) - r, "I - R") @ np.array([pi0, 0.0]) - np.array([pi0, 0.0])
     weights = np.array([p.p1 * (1.0 - p.p2), 1.0])
     return p.p1 * (1.0 - l2 * p.p2) * pi0 + float(weights @ tail)

@@ -28,8 +28,10 @@ byte is proven equal to its lane's: from then on the lane's bytes are copied
 up to the lane's next block where a queue whose true length differs from
 the lane's is below 3 in either, and the true lengths are the lane's plus
 the offsets.  If the splice still steps many blocks, the chunks left get a
-new pass from the true state.  numpy then replays the three slot keys of
-every block at once, and the trajectory arrays are read off the keys.
+new pass from the true state.  Each block's three slot keys are then read
+off three key tables that the composed table's build computes on the way,
+indexed by the low 9, 13 and 17 bits of the block's entry in that table,
+and the trajectory arrays are read off the keys.
 
 Every reported statistic is computed over the post-warmup window.  Standard
 errors come from batch means (100 batches) rather than the naive iid formula
@@ -220,47 +222,40 @@ def _verdict(lengths: np.ndarray, slope: float, total_slots: int) -> str:
     return INCONCLUSIVE
 
 
-def _block_keys(table: np.ndarray, states: np.ndarray, codes):
-    """Yield the slot keys of blocks of ``_BLOCK`` slots, slot by slot.
+def _block_table(table: np.ndarray) -> tuple[bytes, list[np.ndarray]]:
+    """The block table, 32 states by 4096 coin words, and the slot keys met
+    on the way: three lookups in ``table``, ``slot_table`` as an int8 array,
+    composed.
 
-    ``table`` is ``slot_table`` as an int8 array, ``states`` holds each
-    block's start state and ``codes[j]`` the coins of its slot j, all int8;
-    the j-th yielded array broadcasts ``states`` and ``codes[:j + 1]``.
-    Inside a block the capped lengths move as the true ones do, so each stays
-    positive exactly when the true one does.
+    A block's entry is word << 5 | state.  Slot j's key depends only on the
+    state and the coins of slots 0 to j, so key table j holds it, as int8, at
+    the low 9 + 4j bits of the entry: 512, 8192 and 131072 keys.  Inside a
+    block the capped lengths move as the true ones do, so each stays positive
+    exactly when the true one does.
     """
-    delta1, delta2 = table[:, 0], table[:, 1]
-    next_phase = table[:, 2] * np.int8(64)
+    states = np.arange(32, dtype=np.int8)
+    # slot j's coins vary along an axis of their own, so slot j's lookups
+    # cover only the blocks that differ up to it; its grid (slot j's coins,
+    # ..., slot 0's, state) is the layout of the entry's low bits
+    codes = [np.arange(16, dtype=np.int8).reshape(16, *[1] * (j + 1)) for j in range(_BLOCK)]
+    delta1, delta2, next_phase = table[:, 0], table[:, 1], table[:, 2] * np.int8(64)
     phase = (states >> 4) * np.int8(64)
     c1, c2 = states >> 2 & 3, states & 3
+    # a packed byte is a sum: each slot adds its share of both length fields,
+    # the last slot also the next phase, and each length field its offset
+    share = delta1 + delta2 * np.int8(8)
+    packed = np.int8(3 + 3 * 8)
+    keys = []
     for j in range(_BLOCK):
         if j:
             c1 = c1 + delta1[key]
             c2 = c2 + delta2[key]
             phase = next_phase[key]
         key = phase | (c1 > 0) * np.int8(32) | (c2 > 0) * np.int8(16) | codes[j]
-        yield key
-
-
-def _block_table(table: np.ndarray) -> bytes:
-    """The block table, 32 states by 4096 coin words: three lookups in
-    ``table``, ``slot_table`` as an int8 array, composed."""
-    states = np.arange(32, dtype=np.int8)
-    # slot j's coins vary along an axis of their own, so slot j's lookups
-    # cover only the blocks that differ up to it; the last slot's grid
-    # (slot 2's coins, slot 1's, slot 0's, state) is the layout word << 5 | state
-    coins = np.arange(16, dtype=np.int8)
-    codes = [coins.reshape(16, *[1] * (j + 1)) for j in range(_BLOCK)]
-    # a packed byte is a sum: each slot adds its share of both length fields,
-    # the last slot also the next phase, and each length field its offset
-    share = table[:, 0] + table[:, 1] * np.int8(8)
-    *head, last = _block_keys(table, states, codes)
-    packed = (share + table[:, 2] * np.int8(64))[last]
-    del last
-    for key in head:
-        packed += share[key]
-    packed += 3 + 3 * 8
-    return packed.tobytes()
+        packed = packed + share[key]
+        keys.append(key)
+    packed += next_phase[key]
+    return packed.tobytes(), keys
 
 
 def _chunk_length(blocks: int) -> int:
@@ -411,13 +406,13 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
     for j in range(_BLOCK):
         words |= blocks[:, j].astype(np.uint32) << 4 * j + 5
     table = np.array(slot_table(config.kind, config.mode), dtype=np.int8)
-    states = _block_states(words, _block_table(table))
+    block_table, key_tables = _block_table(table)
+    # each block's entry in the composed tables; its slot keys overwrite its
+    # coins in place
+    words |= np.frombuffer(_block_states(words, block_table), np.uint8)
+    for j, key_table in enumerate(key_tables):
+        np.take(key_table, words & key_table.size - 1, out=blocks[:, j])
     del words
-
-    # each block's slot keys overwrite its coins in place
-    for j, key in enumerate(_block_keys(table, np.frombuffer(states, np.int8), blocks.T)):
-        blocks[:, j] = key
-    del states, key
 
     keys = codes[:n]
     delta1, delta2, _, outcome = table.T

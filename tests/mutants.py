@@ -102,7 +102,7 @@ MUTANTS = (
         "",
         (_BLOCK_LOOP,),
     ),
-    # the slot keys of simulate.run_trajectory
+    # the slot keys of simulate.run_trajectory and their tables
     Mutant(
         "keys-uint8",
         _SIM,
@@ -117,6 +117,13 @@ MUTANTS = (
         "        stream.random(out=draws)\n"
         "        codes[:n] |= (draws < rate).view(np.uint8) << bit\n",
         (_KERNEL,),
+    ),
+    Mutant(
+        "keys-slot-2-through-13-bits",
+        _SIM,
+        "        keys.append(key)\n",
+        "        keys.append(key if j < 2 else key[0])\n",
+        (_KERNEL, "tests/test_simulate.py::TestBlockTable::test_entries_are_three_slot_table_steps"),
     ),
     # the speculative lanes of simulate._lanes
     Mutant(
@@ -194,6 +201,17 @@ MUTANTS = (
             "tests/test_qbd.py::TestStackedSolver::test_single_point_keeps_its_shape",
             _LONG_LONE,
             _QBD_BYTES,
+        ),
+    ),
+    # the one DS2 guard
+    Mutant(
+        "ds2-guard-without-sp",
+        _QBD,
+        "if l2 >= ds3_mu2(p1, p2) or spectral_radius(rate_matrix_closed_form(p, l2)) >= 1.0:",
+        "if l2 >= ds3_mu2(p1, p2):",
+        (
+            "tests/test_qbd.py::TestStationaryLaw::test_float_critical_point_has_no_law",
+            "tests/test_cli.py::TestExitCodes::test_float_critical_point_is_rejected",
         ),
     ),
     # the DS1 level array

@@ -23,7 +23,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aloha_priority import cli, qbd, reports
+from aloha_priority import cli, qbd, reports, verify
 from aloha_priority.cli import main
 from aloha_priority.model import AccessProbabilities, ArrivalRates
 from aloha_priority.stability import union_region_contains
@@ -286,6 +286,19 @@ class TestVerifyCommand:
         _, rows = parse_csv_table(out)
         assert rows == [["synthetic", 1.0, 0.5, 0]]
 
+    def test_all_concatenates_the_suites_in_order(self, monkeypatch):
+        # stubbed suites, so the real ones do not run
+        for name in verify.SUITES:
+            rows = [CheckResult(f"{name} {i}", float(i), 1.0, True) for i in range(2)]
+            monkeypatch.setitem(verify.SUITES, name, lambda rows=rows: list(rows))
+        got = [row.name for row in verify.run_suite("all")]
+        assert got == [f"{name} {i}" for name in ("ds1", "qbd", "ds3", "containment") for i in (0, 1)]
+
+    def test_unknown_suite_names_the_choices(self):
+        choices = r"\['containment', 'ds1', 'ds3', 'qbd'\] or 'all'"
+        with pytest.raises(ValueError, match=f"unknown suite 'nope'; choose from {choices}"):
+            verify.run_suite("nope")
+
 
 class TestExitCodes:
     def test_usage_errors(self, capsys):
@@ -390,6 +403,15 @@ class TestExitCodes:
             assert code == 3
             assert err.startswith("rejected:")
             assert reason in err
+
+    def test_float_critical_point_is_rejected(self, capsys):
+        # l2 one ulp below mu2'' = 0.17647058823529413, where the closed-form
+        # sp(R) rounds to 1: the guard rejects it, where the fixed point would
+        # run all its steps and stop on "did not reach tol"
+        argv = ["analyze", "qbd", "--p1", "0.1", "--p2", "0.2", "--l2", "0.1764705882352941"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("rejected: queue 2 unstable")
 
 
 # probabilities and rates at and past the edges of their ranges, as typed

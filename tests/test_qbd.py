@@ -420,6 +420,22 @@ class TestStationaryLaw:
         stat = ds2_stationary(HALF, 0.1, 10)
         assert stat[0, 1] == 0.0
 
+    def test_negative_k_max_raises(self):
+        with pytest.raises(ValueError, match="k_max"):
+            ds2_stationary(HALF, 0.1, -1)
+
+    def test_float_critical_point_has_no_law(self):
+        # l2 one ulp below mu2'', where the closed-form sp(R) rounds to 1:
+        # every DS2 law rejects it, the closed-form rate included
+        p, l2 = AccessProbabilities(0.1, 0.2), 0.1764705882352941
+        assert l2 < ds3_mu2(0.1, 0.2) == np.nextafter(l2, 1.0)
+        assert spectral_radius(rate_matrix_closed_form(p, l2)) == 1.0
+        for law in (ds2_pi0, ds2_service_rate_q1, ds2_service_rate_q1_series):
+            with pytest.raises(UnstableParameterError):
+                law(p, l2)
+        with pytest.raises(UnstableParameterError):
+            ds2_stationary(p, l2, 3)
+
 
 class TestServiceRate:
     def test_closed_form_reference(self):

@@ -397,7 +397,7 @@ class TestLanes:
     @pytest.mark.parametrize("mode", [DominanceMode.NONE, DominanceMode.DS1])
     def test_long_starts_match_exact_block_steps(self, mode, start):
         table = np.array(slot_table(ProtocolKind.FEEDBACK_PRIORITY, mode), dtype=np.int8)
-        block = np.frombuffer(_block_table(table), dtype=np.uint8)
+        block = np.frombuffer(_block_table(table)[0], dtype=np.uint8)
         rng = np.random.default_rng(start[0] ^ start[1])
         steps, width = 120, 6
         # the longer queue's arrival coin is set in every slot, so it never
@@ -450,13 +450,16 @@ class TestLanes:
 
 
 def _three_slots(table, phase, q1, q2, word):
-    """Three ``slot_table`` steps from true lengths ``q1``, ``q2`` (arrays)."""
+    """Three ``slot_table`` steps from true lengths ``q1``, ``q2`` (arrays):
+    the change of each length, the next phase and the three slots' keys."""
     start1, start2 = q1, q2
+    keys = []
     for j in range(3):
         code = word >> 4 * j & 15
         key = phase << 6 | (q1 > 0) << 5 | (q2 > 0) << 4 | code
+        keys.append(key)
         q1, q2, phase = q1 + table[key, 0], q2 + table[key, 1], table[key, 2]
-    return q1 - start1, q2 - start2, phase
+    return q1 - start1, q2 - start2, phase, keys
 
 
 class TestBlockTable:
@@ -465,20 +468,26 @@ class TestBlockTable:
     def test_entries_are_three_slot_table_steps(self, kind, mode):
         # byte (word << 5 | state) packs (dq1 + 3) | (dq2 + 3) << 3 | phase << 6
         # for state phase << 4 | min(q1, 3) << 2 | min(q2, 3); every true
-        # length 0-6 is walked, so lengths 4, 5 and 6 must read the entry of 3
+        # length 0-6 is walked, so lengths 4, 5 and 6 must read the entry of 3.
+        # Key table j holds slot j's key at the low 9 + 4j bits of the entry.
         table = np.array(slot_table(kind, mode), dtype=np.int64)
-        block = np.frombuffer(_block_table(table.astype(np.int8)), dtype=np.uint8)
+        packed, key_tables = _block_table(table.astype(np.int8))
+        block = np.frombuffer(packed, dtype=np.uint8)
         assert block.shape == (2 * 4 * 4 * 16**3,)
         phase, q1, q2, word = np.meshgrid(
             np.arange(2), np.arange(7), np.arange(7), np.arange(4096), indexing="ij"
         )
-        dq1, dq2, after = _three_slots(table, phase, q1, q2, word)
+        dq1, dq2, after, keys = _three_slots(table, phase, q1, q2, word)
         state = phase << 4 | np.minimum(q1, 3) << 2 | np.minimum(q2, 3)
-        entry = block[word << 5 | state].astype(np.int64)
+        index = word << 5 | state
+        entry = block[index].astype(np.int64)
         assert np.array_equal(entry & 7, dq1 + 3)
         assert np.array_equal(entry >> 3 & 7, dq2 + 3)
         assert np.array_equal(entry >> 6, after)
         assert np.all(entry < 128)
+        for j, key_table in enumerate(key_tables):
+            assert (key_table.dtype, key_table.size) == (np.int8, 1 << 9 + 4 * j)
+            assert np.array_equal(key_table.reshape(-1)[index & key_table.size - 1], keys[j])
 
 
 class TestSlotTable:
