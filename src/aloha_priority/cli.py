@@ -174,8 +174,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze_qbd(args: argparse.Namespace) -> int:
     p = AccessProbabilities(args.p1, args.p2)
     require_rate("l2", args.l2)
-    # the one DS2 guard: rejects unstable points, and points where sp(R)
-    # rounds to 1, before the solver can stall on them
+    # the one DS2 guard: rejects points outside l2 < mu2'', points where
+    # sp(R) rounds to 1 and points where pi0 rounds to 0 or below, before
+    # the solver can stall on them
     pi0 = qbd.ds2_pi0(p, args.l2)
     blocks = qbd.qbd_blocks(p, args.l2)
     r = qbd.rate_matrix_closed_form(p, args.l2)

@@ -58,8 +58,10 @@ from .errors import (
 from .model import AccessProbabilities
 from .stability import divisor, ds2_mu1, ds3_mu2
 
-# the fixed point stops once no entry of R moves by this much in one step
+# the fixed point stops once no entry of R moves by this much in one step,
+# and gives up on a slice still moving after _MAX_ITER steps
 _TOL = 1e-12
+_MAX_ITER = 10**6
 # a batch runs at most _BATCH_STEPS steps and holds about _BATCH_SLICES
 # iterates, so a large stack runs short batches
 _BATCH_STEPS = 256
@@ -163,7 +165,7 @@ def _batch(
     return done, iterates[first, np.flatnonzero(done)], iterates[-1].copy()
 
 
-def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
+def solve_rate_matrix(blocks: QbdBlocks) -> np.ndarray:
     """Minimal nonnegative solution of A2 + (A1 - I) R + A0 R^2 = 0.
 
     Plain fixed-point iteration R <- (I - A1)^{-1} (A2 + A0 R^2) starting
@@ -178,8 +180,9 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     step's change at once, stores each slice's first iterate under _TOL and
     drops the solved slices from the stack.  Every batch, stacked or lone,
     has one rule: 256 steps, or fewer where the stack would hold more than
-    about 8192 iterates, so the 1450-point grid runs 5 steps a batch until
-    points drop out.  Once one slice is left, its steps run on 2-D views
+    about 8192 iterates or where _MAX_ITER is nearer, so the 1450-point grid
+    runs 5 steps a batch until points drop out.  Once one slice is left, its
+    steps run on 2-D views
     through ``np.ndarray.dot``, the method form of ``np.dot``, which skips
     ``np.dot``'s ``__array_function__`` dispatch, a third of the cost of a
     2x2 product.  A slice meets the same products and elementwise arithmetic
@@ -190,8 +193,8 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     the same, stacked or alone.  A batch takes each slice's largest change as
     elementwise maxima of its four entries: the exact maximum, NaN included,
     without numpy's slower reduction over 2x2 slices.  No slice takes more
-    than max_iter steps; raises NoConvergenceError if any is still moving
-    after them.
+    than _MAX_ITER = 10**6 steps; raises NoConvergenceError if any is still
+    moving after them.
     """
     shape = blocks.a1.shape
     m = _inv2(np.eye(2) - blocks.a1, "I - A1").reshape(-1, 2, 2)
@@ -201,8 +204,8 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
     active = np.arange(len(m))
     r = np.zeros_like(m)
     taken = 0
-    while active.size and taken < max_iter:
-        steps = min(_BATCH_STEPS, max(1, _BATCH_SLICES // active.size), max_iter - taken)
+    while active.size and taken < _MAX_ITER:
+        steps = min(_BATCH_STEPS, max(1, _BATCH_SLICES // active.size), _MAX_ITER - taken)
         done, settled, r = _batch(m, a0, a2, r, steps)
         taken += steps
         if done.any():
@@ -211,7 +214,7 @@ def solve_rate_matrix(blocks: QbdBlocks, max_iter: int = 10**6) -> np.ndarray:
             active, m, a0, a2, r = active[moving], m[moving], a0[moving], a2[moving], r[moving]
     if active.size:
         raise NoConvergenceError(
-            f"rate-matrix iteration did not reach tol={_TOL} in {max_iter} steps"
+            f"rate-matrix iteration did not reach tol={_TOL} in {_MAX_ITER} steps"
             f" at {active.size} of {len(solved)} points"
         )
     return solved.reshape(shape)
@@ -279,20 +282,24 @@ def spectral_radius_closed_form(p: AccessProbabilities, l2: float) -> float | np
 def ds2_pi0(p: AccessProbabilities, l2: float) -> float:
     """Stationary probability of an empty queue 2 in phase ON.
 
-    Exists iff l2 < mu2'' (``stability.ds3_mu2``), which is sp(R) < 1.  This
-    is the guard of every DS2 law: it raises UnstableParameterError unless
-    both hold in floating point, since a few ulps below mu2'' the closed-form
-    sp(R) can round to 1, where the fixed point would stall.  Raises
+    Exists iff l2 < mu2'' (``stability.ds3_mu2``), which is sp(R) < 1 and
+    pi0 > 0.  This is the guard of every DS2 law, and
+    ``stability.ds1_steady_state`` keeps the same three-part rule: it raises
+    UnstableParameterError unless the region clause, the decay ratio below 1
+    and a positive empty probability all hold in floating point, since a few
+    ulps below mu2'' the closed-form sp(R) can round to 1, where the fixed
+    point would stall, and pi0 can round to 0 or below.  Raises
     DegenerateParameterError first where ``_down_rate`` is 0 (p1 = 1 or
     p2 = 0 included, where that bound is identically zero).
     """
     p1, p2 = p.p1, p.p2
-    d = _down_rate(p, l2)
-    if l2 >= ds3_mu2(p1, p2) or spectral_radius(rate_matrix_closed_form(p, l2)) >= 1.0:
-        raise UnstableParameterError(
-            f"queue 2 unstable under saturated queue 1 at l2 = {l2}"
-        )
-    return (p2 - l2 - p1 * p2 - l2 * p1 * p2) / d
+    pi0 = (p2 - l2 - p1 * p2 - l2 * p1 * p2) / _down_rate(p, l2)
+    # sp(R) last: far past mu2'' the closed-form R can overflow
+    if l2 >= ds3_mu2(p1, p2) or pi0 <= 0.0 or (
+        spectral_radius(rate_matrix_closed_form(p, l2)) >= 1.0
+    ):
+        raise UnstableParameterError(f"queue 2 unstable under saturated queue 1 at l2 = {l2}")
+    return pi0
 
 
 def ds2_stationary(p: AccessProbabilities, l2: float, k_max: int) -> np.ndarray:

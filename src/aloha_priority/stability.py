@@ -136,15 +136,17 @@ def ds1_rho(p: AccessProbabilities, l1: float) -> float:
 def ds1_steady_state(p: AccessProbabilities, l1: float) -> Ds1SteadyState:
     """Stationary distribution of the queue-1 chain in dominant system 1.
 
-    Requires rho < 1; raises UnstableParameterError otherwise.  Where rho
-    exists, so do pi0 and eps1: they divide by factors of rho's divisor.
+    Exists iff l1 < mu1'' (``ds3_mu1``), which is rho < 1 and pi0 > 0.  The
+    guard is ``qbd.ds2_pi0``'s three-part rule: it raises
+    UnstableParameterError unless the region clause, rho < 1 and pi0 > 0 all
+    hold in floating point, since within a few ulps of mu1'' each can hold
+    where another fails.  Where rho exists, so do pi0 and eps1: they divide
+    by factors of rho's divisor.
     """
     rho = ds1_rho(p, l1)
-    if rho >= 1.0:
-        raise UnstableParameterError(
-            f"queue 1 unstable under saturated queue 2: rho = {rho}"
-        )
     pi0 = (p.p1 - l1 * (1.0 + p.p1 * p.p2)) / (p.p1 * (1.0 - l1))
+    if l1 >= ds3_mu1(p.p1, p.p2) or rho >= 1.0 or pi0 <= 0.0:
+        raise UnstableParameterError(f"queue 1 unstable under saturated queue 2: rho = {rho}")
     eps1 = l1 * p.p2 / (1.0 - l1 * p.p2) * pi0
     return Ds1SteadyState(rho=rho, pi0=pi0, eps1=eps1)
 

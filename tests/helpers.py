@@ -16,7 +16,7 @@ product gives the same bits through a stacked ``matmul``, a 2-D
 ``conventional_region_contains`` is the conventional random-access region at
 fixed p, which the priority region must enclose; and
 ``reference_spectral_radius`` takes one matrix's radius with a numpy
-scalar's ``** 0.5``;
+scalar's ``** 0.5``; ``ulps_from`` steps a bound a few ulps either way;
 ``reference_ds1_law`` lays the DS1 law out one level at a time in floats;
 ``reference_envelope_at`` maximises the region clauses over a full meshgrid;
 ``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
@@ -185,6 +185,11 @@ def reference_spectral_radius(r: np.ndarray) -> np.float64:
     det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
     root = (tr * tr - 4.0 * det) ** 0.5
     return max(abs(tr + root), abs(tr - root)) / 2.0
+
+
+def ulps_from(x: float, k: int) -> float:
+    """The float k ulps above a positive x, or -k ulps below it for k < 0."""
+    return float((np.float64(x).view(np.int64) + k).view(np.float64))
 
 
 def reference_ds1_law(p: AccessProbabilities, l1: float, k_max: int) -> np.ndarray:

@@ -50,11 +50,16 @@ _STACKS = "tests/test_qbd.py::TestStackedSolver::test_random_stacks_match_refere
 _STACK_MAX_ITER = "tests/test_qbd.py::TestBatchEdges::test_stack_stops_at_max_iter"
 _LONG_LONE = "tests/test_qbd.py::TestLongLoneSolve::test_matches_reference"
 _QBD_BYTES = "tests/test_cli.py::TestClosedFormBytes::test_verify_bytes_pinned"
+_DS2_NO_LAW = "tests/test_qbd.py::TestStationaryLaw::test_float_critical_point_has_no_law"
+_DS2_REJECTED = "tests/test_cli.py::TestExitCodes::test_float_critical_point_is_rejected"
+_DS2_NEAR_BOUND = "tests/test_qbd.py::TestStationaryLaw::test_rate_near_mu2_is_rejected_or_has_a_law"
 _STABILITY = "src/aloha_priority/stability.py"
 _DS1_GATE = "tests/test_stability.py::TestDs1Stationary::test_bytes_match_the_reference"
 _DS1_CERTIFICATE = "tests/test_certificates.py::test_ds1_geometric_law_balances_the_tabulated_kernel"
 _DS1_ORACLE = "tests/test_oracle.py::TestStationary::test_ds1_matches_closed_form"
 _DS1_RESIDUAL = "tests/test_oracle.py::TestApply::test_balance_residual_reads_no_dense_kernel"
+_DS1_NO_LAW = "tests/test_stability.py::TestDs1Chain::test_float_critical_point_has_no_law"
+_DS1_NEAR_BOUND = "tests/test_stability.py::TestDs1Chain::test_rate_near_mu1_is_rejected_or_has_a_law"
 _VERIFY = "src/aloha_priority/verify.py"
 _KERNEL = "tests/test_simulate.py::TestKernelEquality::test_matches_advance_slot_reference"
 
@@ -203,16 +208,34 @@ MUTANTS = (
             _QBD_BYTES,
         ),
     ),
-    # the one DS2 guard
+    # the one guard rule of the DS2 and the DS1 laws
     Mutant(
         "ds2-guard-without-sp",
         _QBD,
-        "if l2 >= ds3_mu2(p1, p2) or spectral_radius(rate_matrix_closed_form(p, l2)) >= 1.0:",
-        "if l2 >= ds3_mu2(p1, p2):",
-        (
-            "tests/test_qbd.py::TestStationaryLaw::test_float_critical_point_has_no_law",
-            "tests/test_cli.py::TestExitCodes::test_float_critical_point_is_rejected",
-        ),
+        "or pi0 <= 0.0 or (\n        spectral_radius(rate_matrix_closed_form(p, l2)) >= 1.0\n    ):",
+        "or pi0 <= 0.0:",
+        (_DS2_NO_LAW, _DS2_REJECTED),
+    ),
+    Mutant(
+        "ds2-guard-without-pi0",
+        _QBD,
+        "if l2 >= ds3_mu2(p1, p2) or pi0 <= 0.0 or (",
+        "if l2 >= ds3_mu2(p1, p2) or (",
+        (_DS2_NO_LAW, _DS2_REJECTED, _DS2_NEAR_BOUND),
+    ),
+    Mutant(
+        "ds1-guard-without-pi0",
+        _STABILITY,
+        "if l1 >= ds3_mu1(p.p1, p.p2) or rho >= 1.0 or pi0 <= 0.0:",
+        "if l1 >= ds3_mu1(p.p1, p.p2) or rho >= 1.0:",
+        (_DS1_NO_LAW, _DS1_NEAR_BOUND),
+    ),
+    Mutant(
+        "ds1-guard-without-clause",
+        _STABILITY,
+        "if l1 >= ds3_mu1(p.p1, p.p2) or rho >= 1.0 or pi0 <= 0.0:",
+        "if rho >= 1.0 or pi0 <= 0.0:",
+        (_DS1_NO_LAW, _DS1_NEAR_BOUND),
     ),
     # the DS1 level array
     Mutant(

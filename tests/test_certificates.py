@@ -260,12 +260,13 @@ class _InRange:
     """A sympy expression that answers every comparison with False.
 
     ``ds1_stationary`` reaches ``ds1_steady_state``, which guards its inputs
-    with two comparisons: ``ds1_rho``'s ``den == 0.0``, through
-    ``stability.divisor``, and its own ``rho >= 1``.  A symbol cannot decide
-    either; answered False, they let the function return the stable law, its
-    arithmetic kept symbolic.  Arithmetic keeps
-    the operand's class, so a subclass that answers otherwise
-    (``_envelope_branch``) keeps its answers through a whole formula.
+    with four comparisons: ``ds1_rho``'s ``den == 0.0``, through
+    ``stability.divisor``, and its own ``l1 >= mu1''``, ``rho >= 1`` and
+    ``pi0 <= 0``.  A symbol cannot decide any of them; answered False, they
+    let the function return the stable law, its arithmetic kept symbolic.
+    Arithmetic keeps the operand's class, so a subclass that answers
+    otherwise (``_envelope_branch``) keeps its answers through a whole
+    formula.
     """
 
     def __init__(self, expr):
@@ -274,7 +275,7 @@ class _InRange:
     def __eq__(self, other):
         return False
 
-    __ge__ = __eq__
+    __ge__ = __le__ = __eq__
 
 
 def _expr(value):

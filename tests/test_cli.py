@@ -406,12 +406,17 @@ class TestExitCodes:
 
     def test_float_critical_point_is_rejected(self, capsys):
         # l2 one ulp below mu2'' = 0.17647058823529413, where the closed-form
-        # sp(R) rounds to 1: the guard rejects it, where the fixed point would
-        # run all its steps and stop on "did not reach tol"
-        argv = ["analyze", "qbd", "--p1", "0.1", "--p2", "0.2", "--l2", "0.1764705882352941"]
-        code, out, err = _run(capsys, argv)
-        assert (code, out) == (3, "")
-        assert err.startswith("rejected: queue 2 unstable")
+        # sp(R) rounds to 1, and l2 eight ulps below mu2'' at the second p,
+        # where pi0 rounds below 0: the guard rejects both, where the fixed
+        # point would run all its steps and stop on "did not reach tol"
+        for p1, p2, l2 in [
+            ("0.1", "0.2", "0.1764705882352941"),
+            ("0.9845007048898241", "0.7274075192160417", "0.006569597106128218"),
+        ]:
+            argv = ["analyze", "qbd", "--p1", p1, "--p2", p2, "--l2", l2]
+            code, out, err = _run(capsys, argv)
+            assert (code, out) == (3, "")
+            assert err.startswith("rejected: queue 2 unstable")
 
 
 # probabilities and rates at and past the edges of their ranges, as typed

@@ -18,8 +18,9 @@ from helpers import (
     reference_rate_matrix,
     reference_spectral_radius,
     stack_blocks,
+    ulps_from,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -46,6 +47,8 @@ from aloha_priority.qbd import (
 from aloha_priority.stability import ds3_mu2
 
 HALF = AccessProbabilities(0.5, 0.5)
+# l2 eight ulps below mu2'', where sp(R) < 1 but pi0 rounds below 0
+_PI0_WITNESS = (AccessProbabilities(0.9845007048898241, 0.7274075192160417), 0.006569597106128218)
 
 
 def _stable_grid(rng, n):
@@ -120,11 +123,12 @@ class TestRateMatrix:
             assert np.all(r_next >= r - 1e-15)
             r = r_next
 
-    def test_boundary_point_does_not_converge(self):
+    def test_boundary_point_does_not_converge(self, monkeypatch):
         # at (0.5, 0.5, l2=0.2) the chain is exactly critical: sp(R) = 1 and
         # the linear-rate fixed point stalls
+        monkeypatch.setattr(qbd, "_MAX_ITER", 20_000)
         with pytest.raises(NoConvergenceError):
-            solve_rate_matrix(qbd_blocks(HALF, 0.2), max_iter=20_000)
+            solve_rate_matrix(qbd_blocks(HALF, 0.2))
 
     def test_degenerate_parameters(self):
         with pytest.raises(DegenerateParameterError):
@@ -199,12 +203,13 @@ class TestStackedSolver:
         assert one.shape == (1, 2, 2)
         assert np.array_equal(one[0], r)
 
-    def test_critical_member_does_not_converge(self):
+    def test_critical_member_does_not_converge(self, monkeypatch):
         stable = qbd_blocks(HALF, 0.1)
         other = qbd_blocks(AccessProbabilities(0.3, 0.8), 0.2)
         stack = stack_blocks([stable, qbd_blocks(HALF, 0.2), other, stable])
+        monkeypatch.setattr(qbd, "_MAX_ITER", 20_000)
         with pytest.raises(NoConvergenceError, match="at 1 of 4 points"):
-            solve_rate_matrix(stack, max_iter=20_000)
+            solve_rate_matrix(stack)
 
     def test_singular_member_detected(self):
         stable = qbd_blocks(HALF, 0.1)
@@ -265,7 +270,7 @@ _UNEVEN = [qbd_blocks(HALF, l2) for l2 in (0.1, 0.15, 0.19)]
 
 class TestBatchEdges:
     """Where batches of steps end: a slice stops at its own step, and no
-    slice takes a step past max_iter."""
+    slice takes a step past _MAX_ITER."""
 
     def test_uneven_steps(self, monkeypatch):
         steps = [reference_fixed_point(blocks)[1] for blocks in _UNEVEN]
@@ -278,7 +283,7 @@ class TestBatchEdges:
         assert not set(steps) & set(ends)
 
     def test_one_batch_rule(self, monkeypatch):
-        # min(256, max(1, 8192 // points), max_iter - taken) steps a batch,
+        # min(256, max(1, 8192 // points), _MAX_ITER - taken) steps a batch,
         # for a lone point and for a stack alike
         p1, p2, l2 = NEAR_CRITICAL[0]  # 3363 steps
         far = qbd_blocks(AccessProbabilities(p1, p2), l2)
@@ -287,23 +292,27 @@ class TestBatchEdges:
         assert _batch_lengths(monkeypatch, stack_blocks(_grid_blocks()))[0] == 5
 
     @pytest.mark.parametrize("blocks", _UNEVEN, ids=["l2=0.1", "l2=0.15", "l2=0.19"])
-    def test_lone_point_stops_at_max_iter(self, blocks):
+    def test_lone_point_stops_at_max_iter(self, blocks, monkeypatch):
         r, n = reference_fixed_point(blocks)
-        assert np.array_equal(solve_rate_matrix(blocks, max_iter=n), r)
+        monkeypatch.setattr(qbd, "_MAX_ITER", n)
+        assert np.array_equal(solve_rate_matrix(blocks), r)
+        monkeypatch.setattr(qbd, "_MAX_ITER", n - 1)
         with pytest.raises(NoConvergenceError, match="in %d steps at 1 of 1 points" % (n - 1)):
-            solve_rate_matrix(blocks, max_iter=n - 1)
+            solve_rate_matrix(blocks)
 
-    def test_stack_stops_at_max_iter(self):
+    def test_stack_stops_at_max_iter(self, monkeypatch):
         reference = [reference_fixed_point(blocks) for blocks in _UNEVEN]
         stack = stack_blocks(_UNEVEN)
         longest = max(n for _, n in reference)
-        solved = solve_rate_matrix(stack, max_iter=longest)
+        monkeypatch.setattr(qbd, "_MAX_ITER", longest)
+        solved = solve_rate_matrix(stack)
         for (r, _), slice_r in zip(reference, solved):
             assert np.array_equal(slice_r, r)
         for _, n in reference:
             moving = sum(other >= n for _, other in reference)
+            monkeypatch.setattr(qbd, "_MAX_ITER", n - 1)
             with pytest.raises(NoConvergenceError, match=f"at {moving} of 3 points"):
-                solve_rate_matrix(stack, max_iter=n - 1)
+                solve_rate_matrix(stack)
 
     def test_grid_solve_memory_is_bounded(self):
         # the batch length shrinks as the stack grows: 1450 points run five
@@ -334,11 +343,13 @@ class TestLongLoneSolve:
         assert n in (3363, 24941)
         assert solve_rate_matrix(blocks).tobytes() == r.tobytes()
 
-    def test_stops_at_max_iter(self, near_critical):
+    def test_stops_at_max_iter(self, near_critical, monkeypatch):
         blocks, r, n = near_critical
-        assert solve_rate_matrix(blocks, max_iter=n).tobytes() == r.tobytes()
+        monkeypatch.setattr(qbd, "_MAX_ITER", n)
+        assert solve_rate_matrix(blocks).tobytes() == r.tobytes()
+        monkeypatch.setattr(qbd, "_MAX_ITER", n - 1)
         with pytest.raises(NoConvergenceError, match="in %d steps at 1 of 1 points" % (n - 1)):
-            solve_rate_matrix(blocks, max_iter=n - 1)
+            solve_rate_matrix(blocks)
 
 
 class TestSpectralRadius:
@@ -425,16 +436,38 @@ class TestStationaryLaw:
             ds2_stationary(HALF, 0.1, -1)
 
     def test_float_critical_point_has_no_law(self):
-        # l2 one ulp below mu2'', where the closed-form sp(R) rounds to 1:
-        # every DS2 law rejects it, the closed-form rate included
+        # l2 one ulp below mu2'', where the closed-form sp(R) rounds to 1, and
+        # _PI0_WITNESS, where pi0 rounds below 0: every DS2 law rejects both,
+        # the closed-form rate included
         p, l2 = AccessProbabilities(0.1, 0.2), 0.1764705882352941
         assert l2 < ds3_mu2(0.1, 0.2) == np.nextafter(l2, 1.0)
         assert spectral_radius(rate_matrix_closed_form(p, l2)) == 1.0
-        for law in (ds2_pi0, ds2_service_rate_q1, ds2_service_rate_q1_series):
+        for p, l2 in [(p, l2), _PI0_WITNESS]:
+            for law in (ds2_pi0, ds2_service_rate_q1, ds2_service_rate_q1_series):
+                with pytest.raises(UnstableParameterError):
+                    law(p, l2)
             with pytest.raises(UnstableParameterError):
-                law(p, l2)
-        with pytest.raises(UnstableParameterError):
-            ds2_stationary(p, l2, 3)
+                ds2_stationary(p, l2, 3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        # p1 < 1 and p2 > 0 keep mu2'' a positive normal float, so every l2
+        # drawn is a rate
+        p1=st.floats(0.0, 0.999),
+        p2=st.floats(0.001, 1.0),
+        k=st.integers(-8, 8),
+    )
+    @example(p1=0.9845007048898241, p2=0.7274075192160417, k=-8)
+    def test_rate_near_mu2_is_rejected_or_has_a_law(self, p1, p2, k):
+        # within 8 ulps of mu2'' the guard rejects a point unless l2 < mu2''
+        # and pi0 > 0 hold in floating point and the law has no negative entry
+        p, bound = AccessProbabilities(p1, p2), ds3_mu2(p1, p2)
+        l2 = ulps_from(bound, k)
+        try:
+            pi0, law = ds2_pi0(p, l2), ds2_stationary(p, l2, 3)
+        except UnstableParameterError:
+            return
+        assert l2 < bound and pi0 > 0.0 and (law >= 0.0).all(), (l2, bound, pi0, law)
 
 
 class TestServiceRate:

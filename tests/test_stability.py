@@ -5,9 +5,14 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import conventional_region_contains, reference_ds1_law, reference_region_rows
+from helpers import (
+    conventional_region_contains,
+    reference_ds1_law,
+    reference_region_rows,
+    ulps_from,
+)
 from numpy.testing import assert_allclose
 
 from aloha_priority import qbd
@@ -22,6 +27,7 @@ from aloha_priority.stability import (
     ds2_l2_limit,
     ds2_mu1,
     ds2_region_contains,
+    ds3_mu1,
     ds3_steady_state,
     optimal_p2,
     priority_boundary,
@@ -35,6 +41,15 @@ def _sample_params(rng):
     p = AccessProbabilities(rng.uniform(0.05, 1.0), rng.uniform(0.0, 1.0))
     l1 = rng.uniform(0.01, 0.95)
     return p, l1
+
+
+# (p1, p2, l1) that rho < 1 alone admits: one ulp below mu1'' with pi0 = 0,
+# and at mu1'' with pi0 = 0 and with pi0 > 0
+_DS1_WITNESSES = [
+    (0.541523260907531, 0.9312651808120499, 0.35998313384517655),
+    (0.4850160862096635, 0.8975164894231576, 0.33791731972282224),
+    (0.32973171649909216, 0.7884287034284043, 0.2616980798412959),
+]
 
 
 class TestDs1Chain:
@@ -94,6 +109,36 @@ class TestDs1Chain:
     def test_service_rate_requires_stability(self):
         with pytest.raises(UnstableParameterError):
             ds1_service_rate_q2(AccessProbabilities(0.5, 0.5), 0.45)
+
+    @pytest.mark.parametrize(
+        "p1, p2, l1", _DS1_WITNESSES, ids=["below-pi0-0", "at-pi0-0", "at-pi0-positive"]
+    )
+    def test_float_critical_point_has_no_law(self, p1, p2, l1):
+        p, stationary = AccessProbabilities(p1, p2), functools.partial(ds1_stationary, k_max=3)
+        for law in (ds1_steady_state, ds1_service_rate_q2, stationary):
+            with pytest.raises(UnstableParameterError):
+                law(p, l1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        # p1 > 0 keeps mu1'' a positive normal float, so every l1 drawn is a rate
+        p1=st.floats(0.001, 1.0),
+        p2=st.floats(0.0, 1.0),
+        k=st.integers(-8, 8),
+    )
+    @example(p1=0.541523260907531, p2=0.9312651808120499, k=-1)
+    @example(p1=0.4850160862096635, p2=0.8975164894231576, k=0)
+    @example(p1=0.32973171649909216, p2=0.7884287034284043, k=0)
+    def test_rate_near_mu1_is_rejected_or_has_a_law(self, p1, p2, k):
+        # within 8 ulps of mu1'' the guard rejects a point unless l1 < mu1''
+        # and pi0 > 0 hold in floating point and the law has no negative entry
+        p, bound = AccessProbabilities(p1, p2), ds3_mu1(p1, p2)
+        l1 = ulps_from(bound, k)
+        try:
+            pi0, law = ds1_steady_state(p, l1).pi0, ds1_stationary(p, l1, 3)
+        except UnstableParameterError:
+            return
+        assert l1 < bound and pi0 > 0.0 and (law >= 0.0).all(), (l1, bound, pi0, law)
 
 
 class TestDs1Stationary:

@@ -8,10 +8,11 @@ docstrings, comments, the definition itself and an ``import`` re-export do
 not.  Any mention in the README counts, since that is the documented library
 surface.
 
-A parameter with a default that no call in ``src/``, ``perfbench/`` or
-``tests/`` passes, by position or by keyword, is a knob nobody turns: it
-belongs in the body as a constant.  A call that spreads ``*args`` or
-``**kwargs`` counts as passing everything.
+A parameter with a default that no call in ``src/`` or ``perfbench/``
+passes, by position or by keyword, is a knob nobody turns: it belongs in the
+body as a constant.  Calls in ``tests/`` do not count, so a knob only a test
+turns fails too; a test sets such a constant with ``monkeypatch``.  A call
+that spreads ``*args`` or ``**kwargs`` counts as passing everything.
 
 Matching is by bare name (a class name stands for its ``__init__``, and a
 call through a ``from ... import name as alias`` binding counts as a call of
@@ -120,11 +121,11 @@ def _defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
 
 
 def _calls_by_name(paths: list[Path] | None = None) -> dict[str, list[ast.Call]]:
-    """The calls in ``paths`` (default: every module of ``src/``,
-    ``perfbench/`` and ``tests/``) by the bare name they call, an import
-    alias resolved to the name it binds."""
+    """The calls in ``paths`` (default: every module of ``src/`` and
+    ``perfbench/``) by the bare name they call, an import alias resolved to
+    the name it binds."""
     if paths is None:
-        folders = [PACKAGE, ROOT / "perfbench", ROOT / "tests"]
+        folders = [PACKAGE, ROOT / "perfbench"]
         paths = [p for folder in folders for p in folder.glob("*.py")]
     calls: dict[str, list[ast.Call]] = {}
     for path in paths:
@@ -157,14 +158,13 @@ def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
 
 def test_knob_walker_sees_the_package():
     found = {(qualified, parameter) for qualified, _, parameter, _ in _defaulted_parameters()}
-    assert ("qbd.solve_rate_matrix", "max_iter") in found
     assert ("sweep.sweep", "lambda_step") in found
     assert ("cli.main", "argv") in found
 
 
 def test_knob_walker_resolves_import_aliases():
-    # cli calls sweep.sweep as run_sweep; without tests/ among the callers,
-    # that call is the only one that sets both of its parameters
+    # cli calls sweep.sweep as run_sweep, and that call is the only one in
+    # src/ and perfbench/ that sets both of its parameters
     knobs = [
         (parameter, position)
         for qualified, _, parameter, position in _defaulted_parameters()
