@@ -131,7 +131,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     l1, l2 = np.repeat(rates, len(rates)), np.tile(rates, len(rates))
     verdict = union_region_contains(p, ArrivalRates(l1.astype(float), l2.astype(float)))
     columns = (l1, l2, verdict.stable, verdict.binding)
-    rows = list(zip(*(c.tolist() for c in columns)))
+    rows = zip(*(c.tolist() for c in columns))
     _write(
         reports.emit_table(["lambda1", "lambda2", "stable", "binding"], rows, args.format),
         args.out,
@@ -143,7 +143,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     dataset = run_sweep(p_step=args.p_step, lambda_step=args.lambda_step)
     # every field is one column of the table
     columns = vars(dataset)
-    rows = list(zip(*(c.tolist() for c in columns.values())))
+    rows = zip(*(c.tolist() for c in columns.values()))
     _write(reports.emit_table(list(columns), rows, args.format), args.out)
     return 0
 

@@ -47,7 +47,12 @@ def _csv(columns: list[str], rows: Iterable[Iterable[Any]]) -> str:
     return buf.getvalue()
 
 
-def emit_table(columns: list[str], rows: list[list[Any]], fmt: str) -> str:
+def emit_table(columns: list[str], rows: Iterable[Iterable[Any]], fmt: str) -> str:
+    """``rows`` as a csv table or a json object under ``columns``.
+
+    ``rows`` is an iterable consumed once, row by row, so a caller can pass a
+    generator or a ``zip`` of columns and never hold the rows as a list.
+    """
     if fmt == "csv":
         return _csv(columns, rows)
     if fmt == "json":

@@ -61,6 +61,8 @@ _DS1_RESIDUAL = "tests/test_oracle.py::TestApply::test_balance_residual_reads_no
 _DS1_NO_LAW = "tests/test_stability.py::TestDs1Chain::test_float_critical_point_has_no_law"
 _DS1_NEAR_BOUND = "tests/test_stability.py::TestDs1Chain::test_rate_near_mu1_is_rejected_or_has_a_law"
 _VERIFY = "src/aloha_priority/verify.py"
+_ORACLE = "src/aloha_priority/oracle.py"
+_RESIDENT = "tests/test_oracle.py::TestStationary::test_solve_keeps_one_kernel_resident"
 _KERNEL = "tests/test_simulate.py::TestKernelEquality::test_matches_advance_slot_reference"
 
 MUTANTS = (
@@ -263,6 +265,21 @@ MUTANTS = (
             _DS1_CERTIFICATE,
             _DS1_ORACLE,
         ),
+    ),
+    # the layout of the oracle's dense kernel
+    Mutant(
+        "oracle-kernel-on-numpy-zeros",
+        _ORACLE,
+        'np.frombuffer(pages).reshape((n, n), order="F")',
+        'np.zeros((n, n), order="F")',
+        (_RESIDENT,),
+    ),
+    Mutant(
+        "oracle-kernel-on-shared-mapping",
+        _ORACLE,
+        "access=mmap.ACCESS_COPY",
+        "access=mmap.ACCESS_WRITE",
+        (_RESIDENT,),
     ),
     # the oracle cross-checks in verify
     Mutant(

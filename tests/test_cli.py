@@ -53,6 +53,14 @@ class TestSerialization:
         columns, rows = parse_json_table(text)
         assert rows == [self.AWKWARD]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_may_be_a_one_shot_iterator(self, fmt):
+        # the CLI passes a zip of columns, which can be read only once
+        columns = ([0.1, 1.0 / 3.0, np.float64(2.5)], [1, np.int64(2), 3], ["a", "b", "c"])
+        rows = list(zip(*columns))
+        streamed = reports.emit_table(["x", "n", "s"], zip(*columns), fmt)
+        assert streamed == reports.emit_table(["x", "n", "s"], rows, fmt)
+
     def test_report_round_trips(self):
         report = {"x": 0.1 + 0.2, "n": 7, "s": "stable"}
         assert parse_csv_report(reports.emit_report(report, "csv")) == report

@@ -3,7 +3,11 @@ the tabulated kernel against one ``advance_slot`` call per level, the solve
 against a solve of that reference kernel, the memory each step allocates, and
 the oracle against the closed forms at random stable points."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +213,29 @@ class TestApply:
             assert local_balance_residual(p, l1) == value
 
 
+# the growth of the peak resident set over one k_max 1600 solve, in units of
+# one n x n array; a small solve first, so BLAS and LAPACK are already loaded
+_RESIDENT_GROWTH = """
+import resource
+from aloha_priority.model import AccessProbabilities, DominanceMode
+from aloha_priority.oracle import build_chain, stationary
+p = AccessProbabilities(0.3, 0.8)
+chain = build_chain(DominanceMode.DS2, p, 0.2, 1600)
+stationary(build_chain(DominanceMode.DS2, p, 0.2, 10))
+n = 2 * (chain.k_max + 1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+stationary(chain)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024 / (8 * n * n))
+"""
+_THP = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+
+
+def _huge_pages_always() -> bool:
+    """Whether the kernel backs every large anonymous mapping by huge pages."""
+    return _THP.is_file() and "[always]" in _THP.read_text()
+
+
 class TestStationary:
     def test_leaves_the_kernel_unchanged(self):
         chain = build_chain(DominanceMode.DS2, SKEW, 0.2, 40)
@@ -228,6 +255,22 @@ class TestStationary:
         chain = build_chain(DominanceMode.DS2, SKEW, 0.2, 400)
         n = 2 * (chain.k_max + 1)
         assert _peak_bytes(lambda: stationary(chain)) < 1.1 * 8 * n * n
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or _huge_pages_always(),
+        reason="ru_maxrss in kB and demand-zero 4 kB pages are what this reads",
+    )
+    def test_solve_keeps_one_kernel_resident(self):
+        # tracemalloc sees neither the kernel's mapping nor LAPACK's copy, so
+        # this reads the resident set of a fresh process: LAPACK's copy is one
+        # n x n array, and the kernel adds only its touched pages to it
+        src = Path(__file__).parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", _RESIDENT_GROWTH], capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src)), check=False,
+        )
+        assert done.stderr == ""
+        assert float(done.stdout) < 1.6
 
     def test_singular_chain_raises_and_leaves_the_kernel_unchanged(self):
         # every state keeps its level and phase: T = I, so T - I is singular
