@@ -56,7 +56,7 @@ from .errors import (
     UnstableParameterError,
 )
 from .model import AccessProbabilities
-from .stability import divisor, ds2_mu1, ds3_mu2
+from .stability import divisor, ds2_mu1, ds3_mu2, stationary_levels
 
 # the fixed point stops once no entry of R moves by this much in one step,
 # and gives up on a slice still moving after _MAX_ITER steps
@@ -284,7 +284,7 @@ def ds2_pi0(p: AccessProbabilities, l2: float) -> float:
 
     Exists iff l2 < mu2'' (``stability.ds3_mu2``), which is sp(R) < 1 and
     pi0 > 0.  This is the guard of every DS2 law, and
-    ``stability.ds1_steady_state`` keeps the same three-part rule: it raises
+    ``stability.ds1_pi0`` keeps the same three-part rule: it raises
     UnstableParameterError unless the region clause, the decay ratio below 1
     and a positive empty probability all hold in floating point, since a few
     ulps below mu2'' the closed-form sp(R) can round to 1, where the fixed
@@ -303,22 +303,9 @@ def ds2_pi0(p: AccessProbabilities, l2: float) -> float:
 
 
 def ds2_stationary(p: AccessProbabilities, l2: float, k_max: int) -> np.ndarray:
-    """Matrix-geometric stationary law up to level k_max: v_k = R^k v_0.
-
-    Row k of the returned (k_max + 1, 2) array is v_k = (pi_k, eps_k), the
-    probability of level k in phase ON and OFF; v_0 = (pi_0, 0), since level
-    0 cannot be in a reserved slot.  The full sequence sums to
-    (I - R)^{-1} v_0, whose entry total is 1 when the chain is stable.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    pi0, r = ds2_pi0(p, l2), rate_matrix_closed_form(p, l2)
-    levels = np.empty((k_max + 1, 2))
-    v = np.array([pi0, 0.0])
-    for k in range(k_max + 1):
-        levels[k] = v
-        v = r @ v
-    return levels
+    """DS2's law up to level k_max, ``stability.stationary_levels`` of
+    ``ds2_pi0`` and the closed-form R: v_k = R^k v_0 with v_0 = (pi_0, 0)."""
+    return stationary_levels(ds2_pi0(p, l2), rate_matrix_closed_form(p, l2), k_max)
 
 
 def ds2_service_rate_q1(p: AccessProbabilities, l2: float) -> float:

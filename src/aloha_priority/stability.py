@@ -1,16 +1,22 @@
 """Closed-form stability analysis for the feedback-priority protocol.
 
-Everything here is an explicit formula; the heavy matrix-analytic machinery
-for the second dominant system lives in :mod:`aloha_priority.qbd`.
+Everything here is an explicit formula, or ``stationary_levels``, the one
+level recurrence that lays out both dominant systems' laws; the rate-matrix
+solver and the second dominant system's closed forms live in
+:mod:`aloha_priority.qbd`.
 
-Dominant system 1 (DS1) saturates queue 2.  Queue 1 then evolves as a birth
-and death chain augmented with a reserved-slot flag; its traffic intensity is
+Dominant system 1 (DS1) saturates queue 2.  Queue 1's length and the
+channel phase then form a quasi-birth-death chain, as queue 2's do in DS2;
+queue 1's traffic intensity is
 
-    rho = l1 (1 - p1 + l1 p1 p2) / (p1 (1 - l1) (1 - l1 p2))
+    rho = l1 (1 - p1 + l1 p1 p2) / (p1 (1 - l1) (1 - l1 p2)).
 
-and when rho < 1 the stationary law is geometric with ratio rho on the
-normal-phase levels, with a proportional reserved-phase component.  Queue 2's
-saturated service rate comes out as mu2 = p2 (1 - l1 - l1 p2).
+Both dominant systems' laws are matrix-geometric, v_k = R^k v_0
+(``stationary_levels``).  A reserved slot always serves queue 1, so queue 1
+never rises from the reserved phase, and DS1's rate matrix has a zero
+reserved column, R1 = [[rho, 0], [l1 p2 / (1 - l1 p2), 0]]
+(``ds1_rate_matrix``), whose spectral radius is rho.  Queue 2's saturated
+service rate comes out as mu2 = p2 (1 - l1 - l1 p2).
 
 Dominant system 3 (DS3) saturates both queues, giving a two-state chain over
 the phase alone and the saturated rates
@@ -51,24 +57,6 @@ class RegionVerdict:
 
     stable: bool
     binding: str | None = None
-
-
-@dataclass(frozen=True)
-class Ds1SteadyState:
-    """Parameters of the geometric queue-1 law under saturated queue 2.
-
-    ``ds1_stationary`` lays the law out by level: pi0 rho^k is the
-    probability of k packets with the channel in normal phase, and
-    eps1 rho^(k - 1) that of k >= 1 packets in a reserved slot.
-    """
-
-    rho: float
-    pi0: float
-    eps1: float
-
-    def total_mass(self) -> float:
-        """Total of the law over both phases and all levels; 1 for a valid steady state."""
-        return (self.pi0 + self.eps1) / (1.0 - self.rho)
 
 
 @dataclass(frozen=True)
@@ -133,44 +121,66 @@ def ds1_rho(p: AccessProbabilities, l1: float) -> float:
     return num / divisor(den, "p1 (1 - l1)(1 - l1 p2)")
 
 
-def ds1_steady_state(p: AccessProbabilities, l1: float) -> Ds1SteadyState:
-    """Stationary distribution of the queue-1 chain in dominant system 1.
+def ds1_pi0(p: AccessProbabilities, l1: float) -> float:
+    """Stationary probability of an empty queue 1 in the normal phase of DS1.
 
     Exists iff l1 < mu1'' (``ds3_mu1``), which is rho < 1 and pi0 > 0.  The
     guard is ``qbd.ds2_pi0``'s three-part rule: it raises
     UnstableParameterError unless the region clause, rho < 1 and pi0 > 0 all
     hold in floating point, since within a few ulps of mu1'' each can hold
-    where another fails.  Where rho exists, so do pi0 and eps1: they divide
-    by factors of rho's divisor.
+    where another fails.  Where rho exists, so does pi0: it divides by a
+    factor of rho's divisor.
     """
     rho = ds1_rho(p, l1)
     pi0 = (p.p1 - l1 * (1.0 + p.p1 * p.p2)) / (p.p1 * (1.0 - l1))
     if l1 >= ds3_mu1(p.p1, p.p2) or rho >= 1.0 or pi0 <= 0.0:
         raise UnstableParameterError(f"queue 1 unstable under saturated queue 2: rho = {rho}")
-    eps1 = l1 * p.p2 / (1.0 - l1 * p.p2) * pi0
-    return Ds1SteadyState(rho=rho, pi0=pi0, eps1=eps1)
+    return pi0
 
 
-def ds1_stationary(p: AccessProbabilities, l1: float, k_max: int) -> np.ndarray:
-    """Geometric DS1 law up to level k_max, in ``qbd.ds2_stationary``'s layout.
+def ds1_rate_matrix(p: AccessProbabilities, l1: float) -> np.ndarray:
+    """DS1's rate matrix R1 = [[rho, 0], [l1 p2 / (1 - l1 p2), 0]], phases ON, OFF.
 
-    Row k of the (k_max + 1, 2) array is (pi_k, eps_k) = (pi0 rho^k,
-    eps1 rho^(k - 1)), level k's mass in the normal and the reserved phase.
-    eps_0 = 0: a reserved slot follows a collision, which requires queue 1
-    nonempty, and the retransmission that empties it also ends the phase.
+    The minimal solution of A2 + (A1 - I) R + A0 R^2 = 0 on DS1's level
+    blocks, in ``qbd``'s column-stochastic orientation.  Its reserved column
+    is zero because a reserved slot serves queue 1 surely, so queue 1 never
+    rises from that phase; its eigenvalues are rho and 0.  Defined wherever
+    rho is, unstable points included.
+    """
+    return np.array([[ds1_rho(p, l1), 0.0], [l1 * p.p2 / (1.0 - l1 * p.p2), 0.0]])
+
+
+def stationary_levels(pi0: float, r: np.ndarray, k_max: int) -> np.ndarray:
+    """Matrix-geometric law up to level k_max: v_k = R^k v_0, one level at a time.
+
+    Row k of the returned (k_max + 1, 2) array is v_k = (pi_k, eps_k), level
+    k's mass in the normal and the reserved phase, and v_{k+1} = R v_k.
+    v_0 = (pi0, 0): in either dominant system a reserved slot follows a
+    collision, which needs the tracked queue nonempty, and the slot that
+    resolves it ends the phase.  The full sequence sums to (I - R)^{-1} v_0,
+    whose entry total is 1 for a stable law.  The rows take pi0's type, so
+    symbols pass through as an object array.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    ss = ds1_steady_state(p, l1)
-    rho = ss.rho
-    return np.array(
-        [(ss.pi0 * rho**k, ss.eps1 * rho ** (k - 1) if k else 0.0) for k in range(k_max + 1)]
-    )
+    v = np.array([pi0, 0.0])
+    levels = np.empty((k_max + 1, 2), dtype=v.dtype)
+    for k in range(k_max + 1):
+        levels[k] = v
+        v = r @ v
+    return levels
+
+
+def ds1_stationary(p: AccessProbabilities, l1: float, k_max: int) -> np.ndarray:
+    """DS1's law up to level k_max, ``stationary_levels`` of ``ds1_pi0`` and
+    ``ds1_rate_matrix``: pi_k = pi0 rho^k and eps_k = l1 p2 / (1 - l1 p2) pi_(k-1),
+    in ``qbd.ds2_stationary``'s layout."""
+    return stationary_levels(ds1_pi0(p, l1), ds1_rate_matrix(p, l1), k_max)
 
 
 def ds1_service_rate_q2(p: AccessProbabilities, l1: float) -> float:
     """Long-run success rate of saturated queue 2, valid while queue 1 is stable."""
-    ds1_steady_state(p, l1)  # raises outside the stability region
+    ds1_pi0(p, l1)  # raises outside the stability region
     return ds1_mu2(p.p2, l1)
 
 

@@ -17,7 +17,9 @@ product gives the same bits through a stacked ``matmul``, a 2-D
 fixed p, which the priority region must enclose; and
 ``reference_spectral_radius`` takes one matrix's radius with a numpy
 scalar's ``** 0.5``; ``ulps_from`` steps a bound a few ulps either way;
-``reference_ds1_law`` lays the DS1 law out one level at a time in floats;
+``reference_levels`` lays a matrix-geometric law out one level at a time,
+one 2x2 product per level, and ``reference_ds1_law`` lays the DS1 law out from
+its powers of rho;
 ``reference_envelope_at`` maximises the region clauses over a full meshgrid;
 ``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
 ``reference_trajectory`` replays a run with one ``advance_slot`` call per slot;
@@ -58,7 +60,7 @@ from aloha_priority.qbd import (
 )
 from aloha_priority.simulate import SimulationConfig, Trajectory, _slopes, _verdict
 from aloha_priority.stability import (
-    ds1_mu2, ds1_steady_state, ds2_l2_limit, ds2_mu1, ds3_mu1, ds3_mu2
+    ds1_mu2, ds1_pi0, ds1_rho, ds2_l2_limit, ds2_mu1, ds3_mu1, ds3_mu2
 )
 
 
@@ -192,15 +194,27 @@ def ulps_from(x: float, k: int) -> float:
     return float((np.float64(x).view(np.int64) + k).view(np.float64))
 
 
+def reference_levels(pi0: float, r: np.ndarray, k_max: int) -> np.ndarray:
+    """``stability.stationary_levels`` as a list of levels: v_0 = (pi0, 0)
+    and v_{k+1} = R v_k, one 2x2 product per level; the two laws must match
+    it bit for bit."""
+    rows = [np.array([pi0, 0.0])]
+    for _ in range(k_max):
+        rows.append(r @ rows[-1])
+    return np.array(rows)
+
+
 def reference_ds1_law(p: AccessProbabilities, l1: float, k_max: int) -> np.ndarray:
-    """Rows (pi0 rho^k, eps1 rho^(k - 1)) for k = 0..k_max, each level's two
-    Python floats computed on their own, with 0 in the reserved phase at
-    level 0."""
-    ss = ds1_steady_state(p, l1)
+    """Rows (pi0 rho^k, eps1 rho^(k - 1)) for k = 0..k_max with
+    eps1 = l1 p2 / (1 - l1 p2) pi0, each level's two Python floats computed
+    on their own from a power of rho, with 0 in the reserved phase at level 0:
+    the DS1 law's closed form, which shares no product with the recurrence."""
+    rho, pi0 = ds1_rho(p, l1), ds1_pi0(p, l1)
+    eps1 = l1 * p.p2 / (1.0 - l1 * p.p2) * pi0
     rows = []
     for k in range(k_max + 1):
-        eps = 0.0 if k == 0 else ss.eps1 * ss.rho ** (k - 1)
-        rows.append((ss.pi0 * ss.rho**k, eps))
+        eps = 0.0 if k == 0 else eps1 * rho ** (k - 1)
+        rows.append((pi0 * rho**k, eps))
     return np.array(rows)
 
 

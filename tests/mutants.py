@@ -55,6 +55,12 @@ _DS2_REJECTED = "tests/test_cli.py::TestExitCodes::test_float_critical_point_is_
 _DS2_NEAR_BOUND = "tests/test_qbd.py::TestStationaryLaw::test_rate_near_mu2_is_rejected_or_has_a_law"
 _STABILITY = "src/aloha_priority/stability.py"
 _DS1_GATE = "tests/test_stability.py::TestDs1Stationary::test_bytes_match_the_reference"
+_DS1_CLOSED = "tests/test_stability.py::TestDs1Stationary::test_matches_the_powers_of_rho"
+_DS1_SOLVER = "tests/test_stability.py::TestDs1RateMatrix::test_solver_on_the_oracle_blocks_finds_it"
+_DS1_RATE_CERTIFICATE = (
+    "tests/test_certificates.py::test_ds1_rate_matrix_solves_the_tabulated_quadratic"
+)
+_DS2_GATE = "tests/test_qbd.py::TestStationaryLaw::test_bytes_match_the_reference"
 _DS1_CERTIFICATE = "tests/test_certificates.py::test_ds1_geometric_law_balances_the_tabulated_kernel"
 _DS1_ORACLE = "tests/test_oracle.py::TestStationary::test_ds1_matches_closed_form"
 _DS1_RESIDUAL = "tests/test_oracle.py::TestApply::test_balance_residual_reads_no_dense_kernel"
@@ -239,32 +245,50 @@ MUTANTS = (
         "if rho >= 1.0 or pi0 <= 0.0:",
         (_DS1_NO_LAW, _DS1_NEAR_BOUND),
     ),
-    # the DS1 level array
+    # DS1's rate matrix and the one level recurrence of both laws
     Mutant(
-        "ds1-eps-exponent-k",
+        "ds1-rate-reserved-column-nonzero",
         _STABILITY,
-        "rho ** (k - 1)",
-        "rho**k",
-        (_DS1_GATE, _DS1_CERTIFICATE, _DS1_ORACLE, _DS1_RESIDUAL),
+        "return np.array([[ds1_rho(p, l1), 0.0],",
+        "return np.array([[ds1_rho(p, l1), l1 * p.p2],",
+        (
+            "tests/test_stability.py::TestDs1Chain::test_steady_state_reference_values",
+            _DS1_CLOSED,
+            _DS1_SOLVER,
+            _DS1_RATE_CERTIFICATE,
+            _DS1_CERTIFICATE,
+            _DS1_ORACLE,
+            _DS1_RESIDUAL,
+        ),
     ),
     Mutant(
-        "ds1-eps-level-0-is-eps1",
+        "ds1-rate-without-divisor",
         _STABILITY,
-        "if k else 0.0",
-        "if k else ss.eps1",
-        (_DS1_GATE, _DS1_CERTIFICATE, _DS1_ORACLE, _DS1_RESIDUAL),
-    ),
-    Mutant(
-        "ds1-eps1-without-divisor",
-        _STABILITY,
-        "eps1 = l1 * p.p2 / (1.0 - l1 * p.p2) * pi0",
-        "eps1 = l1 * p.p2 * pi0",
+        "l1 * p.p2 / (1.0 - l1 * p.p2), 0.0]])",
+        "l1 * p.p2, 0.0]])",
         (
             "tests/test_stability.py::TestDs1Chain::test_steady_state_reference_values",
             "tests/test_stability.py::TestDs1Chain::test_total_mass_is_one",
+            _DS1_CLOSED,
+            _DS1_SOLVER,
+            _DS1_RATE_CERTIFICATE,
             _DS1_CERTIFICATE,
             _DS1_ORACLE,
         ),
+    ),
+    Mutant(
+        "levels-start-in-reserved-phase",
+        _STABILITY,
+        "v = np.array([pi0, 0.0])",
+        "v = np.array([pi0, pi0])",
+        (_DS1_GATE, _DS2_GATE, _DS1_CLOSED, _DS1_CERTIFICATE, _DS1_ORACLE, _DS1_RESIDUAL),
+    ),
+    Mutant(
+        "levels-by-matrix-power",
+        _STABILITY,
+        "v = r @ v",
+        "v = np.linalg.matrix_power(r, k + 1) @ levels[0]",
+        (_DS1_GATE, _DS2_GATE),
     ),
     # the layout of the oracle's dense kernel
     Mutant(

@@ -18,6 +18,7 @@ from aloha_priority import qbd
 from aloha_priority.model import DominanceMode, Phase, ProtocolKind, slot_table
 from aloha_priority.stability import (
     ds1_mu2,
+    ds1_rate_matrix,
     ds1_rho,
     ds1_stationary,
     ds2_l2_limit,
@@ -104,7 +105,7 @@ def test_ds2_clause_inverts():
 
 def test_ds1_stability_guard_is_the_region_l1_clause():
     # (1 - rho) times rho's divisor is (mu1'' - l1)(1 + p1 p2), so wherever
-    # that divisor is positive, ds1_steady_state's rho < 1 and
+    # that divisor is positive, ds1_pi0's rho < 1 and
     # ds1_region_contains' l1 < mu1'' are one condition
     gap = (1 - ds1_rho(SYMBOLIC_P, L1)) * P1 * (1 - L1) * (1 - L1 * P2)
     assert _is_zero(gap - (P1 - L1 * (1 + P1 * P2)))
@@ -259,8 +260,8 @@ def test_priority_envelope_lies_strictly_between_ra_and_td():
 class _InRange:
     """A sympy expression that answers every comparison with False.
 
-    ``ds1_stationary`` reaches ``ds1_steady_state``, which guards its inputs
-    with four comparisons: ``ds1_rho``'s ``den == 0.0``, through
+    ``ds1_stationary`` reaches ``ds1_pi0``, which guards its inputs with
+    four comparisons: ``ds1_rho``'s ``den == 0.0``, through
     ``stability.divisor``, and its own ``l1 >= mu1''``, ``rho >= 1`` and
     ``pi0 <= 0``.  A symbol cannot decide any of them; answered False, they
     let the function return the stable law, its arithmetic kept symbolic.
@@ -322,3 +323,22 @@ def test_ds1_geometric_law_balances_the_tabulated_kernel():
     for k in range(4):
         for phase in Phase:
             assert _is_zero(inflow[k, phase] - mass[k, phase]), (k, phase)
+
+
+def test_ds1_rate_matrix_solves_the_tabulated_quadratic():
+    # DS1's interior level blocks from the slot table, with symbolic coin
+    # weights as above, in qbd's orientation: a[s][i, j] moves phase j to
+    # phase i and s - 1 levels.  R1 solves A2 + (A1 - I) R + A0 R^2 = 0, and
+    # its eigenvalues are rho and 0, so for rho < 1 it is the minimal solution
+    table = slot_table(ProtocolKind.FEEDBACK_PRIORITY, DominanceMode.DS1)
+    coins = [((1, q), (0, 1 - q)) for q in (L1, P1, P2)]
+    a = np.zeros((3, 2, 2), dtype=object)
+    for phase in Phase:
+        for (a1, w_a), (d1, w_1), (d2, w_2) in product(*coins):
+            dq1, _, next_phase, _ = table[phase << 6 | 1 << 5 | d2 << 3 | d1 << 2 | a1]
+            a[dq1 + 1][next_phase, phase] += w_a * w_1 * w_2
+    r = ds1_rate_matrix(SYMBOLIC_P, L1)
+    residual = a[2] + (a[1] - np.eye(2)) @ r + a[0] @ (r @ r)
+    assert all(_is_zero(entry) for entry in residual.ravel())
+    characteristic = sympy.Matrix(r.tolist()).charpoly(X).as_expr()
+    assert _is_zero(characteristic - X * (X - ds1_rho(SYMBOLIC_P, L1)))

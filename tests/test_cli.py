@@ -644,7 +644,7 @@ class TestClosedFormBytes:
     # child process with one BLAS thread (as perfbench/golden.json does).
     VERIFY = [
         ("verify --suite ds1",
-         "adf9c64b7c220fcedc6cfc317440386bf3edb99e615f9e9ab98fd4e126bb4c5b"),
+         "a564d2775742be150597a34616ac3f9905fcbc4d27408ba8b08b8bb82a398ccc"),
         ("verify --suite qbd",
          "d64d909ebc8d5a29399cfc25e0ceb5c3cc5ef227345c34b2b6d749be9e571731"),
         ("verify --suite ds3",
@@ -652,7 +652,7 @@ class TestClosedFormBytes:
         ("verify --suite containment",
          "dd29383af35d93556bce05efb1cb6cb43df54a45fcd56ec856f3116373cb70c5"),
         ("verify --suite ds1 --format json",
-         "4a009ae015d2a47a938d272eeafdc4a7f7391b21d15bc27966e68ee27e5c22fc"),
+         "1779470d9f8bfd83d77402b9557568cb0f3d5fd84307ecd23247cb541ef82e58"),
         ("verify --suite qbd --format json",
          "2dbd933201890db07f28a215eb1581788e997747d6364bfccb6351319bc738ce"),
         ("verify --suite containment --format json",

@@ -14,6 +14,7 @@ from helpers import (
     product_mismatches,
     product_premise_operands,
     reference_fixed_point,
+    reference_levels,
     reference_qbd_grid,
     reference_rate_matrix,
     reference_spectral_radius,
@@ -435,6 +436,17 @@ class TestStationaryLaw:
         with pytest.raises(ValueError, match="k_max"):
             ds2_stationary(HALF, 0.1, -1)
 
+    def test_bytes_match_the_reference(self):
+        # DS1's gate: the law holds the bytes of a one-level-at-a-time loop
+        # of v_{k+1} = R v_k on the closed-form R
+        rng = np.random.default_rng(241)
+        for n, (p, l2) in enumerate(_stable_grid(rng, 200)):
+            k_max = (0, 1600)[n] if n < 2 else int(rng.integers(0, 1601))
+            law = ds2_stationary(p, l2, k_max)
+            expected = reference_levels(ds2_pi0(p, l2), rate_matrix_closed_form(p, l2), k_max)
+            assert law.dtype == expected.dtype and law.shape == (k_max + 1, 2)
+            assert law.tobytes() == expected.tobytes(), (p, l2, k_max)
+
     def test_float_critical_point_has_no_law(self):
         # l2 one ulp below mu2'', where the closed-form sp(R) rounds to 1, and
         # _PI0_WITNESS, where pi0 rounds below 0: every DS2 law rejects both,
@@ -458,14 +470,17 @@ class TestStationaryLaw:
         k=st.integers(-8, 8),
     )
     @example(p1=0.9845007048898241, p2=0.7274075192160417, k=-8)
+    @example(p1=0.0, p2=1.0, k=0)
     def test_rate_near_mu2_is_rejected_or_has_a_law(self, p1, p2, k):
         # within 8 ulps of mu2'' the guard rejects a point unless l2 < mu2''
-        # and pi0 > 0 hold in floating point and the law has no negative entry
+        # and pi0 > 0 hold in floating point and the law has no negative entry.
+        # At p = (0, 1) the bound is l2 = 1, where the divisor 1 - l2 is 0,
+        # so the rejection there is a DegenerateParameterError
         p, bound = AccessProbabilities(p1, p2), ds3_mu2(p1, p2)
         l2 = ulps_from(bound, k)
         try:
             pi0, law = ds2_pi0(p, l2), ds2_stationary(p, l2, 3)
-        except UnstableParameterError:
+        except (UnstableParameterError, DegenerateParameterError):
             return
         assert l2 < bound and pi0 > 0.0 and (law >= 0.0).all(), (l2, bound, pi0, law)
 

@@ -10,20 +10,24 @@ from hypothesis import strategies as st
 from helpers import (
     conventional_region_contains,
     reference_ds1_law,
+    reference_levels,
     reference_region_rows,
+    stack_blocks,
     ulps_from,
 )
 from numpy.testing import assert_allclose
 
-from aloha_priority import qbd
+from aloha_priority import oracle, qbd, verify
 from aloha_priority.errors import AlohaError, DegenerateParameterError, UnstableParameterError
-from aloha_priority.model import AccessProbabilities, ArrivalRates
+from aloha_priority.model import AccessProbabilities, ArrivalRates, DominanceMode
+from aloha_priority.oracle import total_variation
 from aloha_priority.stability import (
+    ds1_pi0,
+    ds1_rate_matrix,
     ds1_region_contains,
     ds1_rho,
     ds1_service_rate_q2,
     ds1_stationary,
-    ds1_steady_state,
     ds2_l2_limit,
     ds2_mu1,
     ds2_region_contains,
@@ -64,17 +68,20 @@ class TestDs1Chain:
         assert ds1_rho(AccessProbabilities(1.0, 0.0), 0.5) == 0.0
 
     def test_steady_state_reference_values(self):
-        ss = ds1_steady_state(AccessProbabilities(0.5, 0.5), 0.2)
-        assert_allclose(ss.pi0, 0.625, rtol=1e-15)
-        assert_allclose(ss.eps1, (0.1 / 0.9) * 0.625, rtol=1e-14)
-        law = ds1_stationary(AccessProbabilities(0.5, 0.5), 0.2, 3)
+        p = AccessProbabilities(0.5, 0.5)
+        pi0, r, rho = ds1_pi0(p, 0.2), ds1_rate_matrix(p, 0.2), ds1_rho(p, 0.2)
+        eps1 = r[1, 0] * pi0
+        assert_allclose(pi0, 0.625, rtol=1e-15)
+        assert_allclose(eps1, (0.1 / 0.9) * 0.625, rtol=1e-14)
+        assert r[0, 0] == rho and r[0, 1] == r[1, 1] == 0.0
+        law = ds1_stationary(p, 0.2, 3)
         assert law[0, 1] == 0.0
-        assert_allclose(law[3, 0], ss.pi0 * ss.rho**3, rtol=1e-15)
-        assert_allclose(law[3, 1], ss.eps1 * ss.rho**2, rtol=1e-15)
+        assert_allclose(law[3, 0], pi0 * rho**3, rtol=1e-15)
+        assert_allclose(law[3, 1], eps1 * rho**2, rtol=1e-15)
 
     def test_unstable_raises(self):
         with pytest.raises(UnstableParameterError):
-            ds1_steady_state(AccessProbabilities(0.5, 0.5), 0.45)
+            ds1_pi0(AccessProbabilities(0.5, 0.5), 0.45)
 
     def test_total_mass_is_one(self):
         rng = np.random.default_rng(101)
@@ -84,8 +91,8 @@ class TestDs1Chain:
             if ds1_rho(p, l1) >= 1.0:
                 continue
             found += 1
-            ss = ds1_steady_state(p, l1)
-            assert abs(ss.total_mass() - 1.0) < 1e-12
+            mass = verify._mass(ds1_rate_matrix(p, l1), np.array([ds1_pi0(p, l1), 0.0]))
+            assert abs(mass - 1.0) < 1e-12
 
     def test_pi0_geometric_identity(self):
         # pi0 equals (1-rho)(1-l1 p2): two algebraic routes to the same mass
@@ -94,8 +101,8 @@ class TestDs1Chain:
             p, l1 = _sample_params(rng)
             if ds1_rho(p, l1) >= 1.0:
                 continue
-            ss = ds1_steady_state(p, l1)
-            assert_allclose(ss.pi0, (1.0 - ss.rho) * (1.0 - l1 * p.p2), rtol=1e-12)
+            pi0, rho = ds1_pi0(p, l1), ds1_rho(p, l1)
+            assert_allclose(pi0, (1.0 - rho) * (1.0 - l1 * p.p2), rtol=1e-12)
 
     def test_service_rate_reference_values(self):
         assert_allclose(
@@ -115,13 +122,14 @@ class TestDs1Chain:
     )
     def test_float_critical_point_has_no_law(self, p1, p2, l1):
         p, stationary = AccessProbabilities(p1, p2), functools.partial(ds1_stationary, k_max=3)
-        for law in (ds1_steady_state, ds1_service_rate_q2, stationary):
+        for law in (ds1_pi0, ds1_service_rate_q2, stationary):
             with pytest.raises(UnstableParameterError):
                 law(p, l1)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
-        # p1 > 0 keeps mu1'' a positive normal float, so every l1 drawn is a rate
+        # p1 > 0 keeps mu1'' a positive normal float; only at p = (1, 0), where
+        # it is 1, do the l1 above it leave [0, 1], and the guard rejects them
         p1=st.floats(0.001, 1.0),
         p2=st.floats(0.0, 1.0),
         k=st.integers(-8, 8),
@@ -129,39 +137,85 @@ class TestDs1Chain:
     @example(p1=0.541523260907531, p2=0.9312651808120499, k=-1)
     @example(p1=0.4850160862096635, p2=0.8975164894231576, k=0)
     @example(p1=0.32973171649909216, p2=0.7884287034284043, k=0)
+    @example(p1=1.0, p2=0.0, k=0)
     def test_rate_near_mu1_is_rejected_or_has_a_law(self, p1, p2, k):
         # within 8 ulps of mu1'' the guard rejects a point unless l1 < mu1''
-        # and pi0 > 0 hold in floating point and the law has no negative entry
+        # and pi0 > 0 hold in floating point and the law has no negative entry.
+        # At p = (1, 0) the bound is l1 = 1, where rho's divisor 1 - l1 is 0,
+        # so the rejection there is a DegenerateParameterError
         p, bound = AccessProbabilities(p1, p2), ds3_mu1(p1, p2)
         l1 = ulps_from(bound, k)
         try:
-            pi0, law = ds1_steady_state(p, l1).pi0, ds1_stationary(p, l1, 3)
-        except UnstableParameterError:
+            pi0, law = ds1_pi0(p, l1), ds1_stationary(p, l1, 3)
+        except (UnstableParameterError, DegenerateParameterError):
             return
         assert l1 < bound and pi0 > 0.0 and (law >= 0.0).all(), (l1, bound, pi0, law)
 
 
+def _stable_ds1_points(seed: int, n: int = 200):
+    """n (p, l1, k_max) with rho < 1; k_max is 0, then 1600, then drawn in [0, 1600]."""
+    rng = np.random.default_rng(seed)
+    sizes = [0, 1600]
+    points = []
+    while len(points) < n:
+        p, l1 = _sample_params(rng)
+        if ds1_rho(p, l1) >= 1.0:
+            continue
+        found = len(points)
+        k_max = sizes[found] if found < len(sizes) else int(rng.integers(0, 1601))
+        points.append((p, l1, k_max))
+    return points
+
+
 class TestDs1Stationary:
     # the oracle checks and the sympy certificate read this array, so it must
-    # hold the bytes of a one-level-at-a-time loop over plain floats
+    # hold the bytes of a one-level-at-a-time loop of v_{k+1} = R v_k
     def test_bytes_match_the_reference(self):
-        rng = np.random.default_rng(109)
-        sizes = [0, 1600]
-        found = 0
-        while found < 200:
-            p, l1 = _sample_params(rng)
-            if ds1_rho(p, l1) >= 1.0:
-                continue
-            k_max = sizes[found] if found < len(sizes) else int(rng.integers(0, 1601))
+        for p, l1, k_max in _stable_ds1_points(109):
             law = ds1_stationary(p, l1, k_max)
-            expected = reference_ds1_law(p, l1, k_max)
+            expected = reference_levels(ds1_pi0(p, l1), ds1_rate_matrix(p, l1), k_max)
             assert law.dtype == expected.dtype and law.shape == (k_max + 1, 2)
             assert law.tobytes() == expected.tobytes(), (p, l1, k_max)
-            found += 1
+
+    def test_matches_the_powers_of_rho(self):
+        # the closed form (pi0 rho^k, eps1 rho^(k - 1)) takes one power per
+        # level where the recurrence takes k products, so the two part in
+        # the last bits: at these points 3.9e-15 relative (about 18 eps) on
+        # normal floats, and 1.8e-16 in total variation, subnormal tails
+        # included
+        tiny = np.finfo(float).tiny
+        for p, l1, k_max in _stable_ds1_points(109):
+            law, closed = ds1_stationary(p, l1, k_max), reference_ds1_law(p, l1, k_max)
+            normal = (np.abs(law) >= tiny) & (np.abs(closed) >= tiny)
+            assert_allclose(law[normal], closed[normal], rtol=1e-14, atol=0.0)
+            assert total_variation(law, closed) < 1e-15, (p, l1, k_max)
 
     def test_negative_k_max_raises(self):
         with pytest.raises(ValueError, match="k_max"):
             ds1_stationary(AccessProbabilities(0.5, 0.5), 0.2, -1)
+
+
+class TestDs1RateMatrix:
+    # DS1's R1 against the solver route DS2 has: the fixed point on the level
+    # blocks the oracle enumerates from the slot table
+    def test_solver_on_the_oracle_blocks_finds_it(self):
+        rng = np.random.default_rng(113)
+        points, stacked = [], []
+        while len(points) < 200:
+            p, l1 = _sample_params(rng)
+            if ds1_rho(p, l1) > 0.95:
+                continue
+            b = oracle.build_chain(DominanceMode.DS1, p, l1, 3).blocks
+            points.append((p, l1))
+            stacked.append(qbd.QbdBlocks(b=b[0, 1], a0=b[1, 0], a1=b[1, 1], a2=b[1, 2]))
+        solved = qbd.solve_rate_matrix(stack_blocks(stacked))
+        closed = np.array([ds1_rate_matrix(p, l1) for p, l1 in points])
+        assert np.max(np.abs(solved - closed)) < 1e-8
+
+    def test_spectral_radius_is_rho(self):
+        # tr = rho and det = 0, so the radius is sqrt(rho^2) = rho, bit for bit
+        for p, l1, _ in _stable_ds1_points(127):
+            assert qbd.spectral_radius(ds1_rate_matrix(p, l1)) == ds1_rho(p, l1), (p, l1)
 
 
 class TestDs3Chain:
@@ -296,7 +350,8 @@ class TestEnvelopes:
 # every public closed form of stability and qbd that takes (p, rate)
 _CLOSED_FORMS = [
     ds1_rho,
-    ds1_steady_state,
+    ds1_pi0,
+    ds1_rate_matrix,
     ds1_service_rate_q2,
     qbd.qbd_blocks,
     qbd.rate_matrix_closed_form,
