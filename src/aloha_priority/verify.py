@@ -17,7 +17,7 @@ from . import oracle, qbd, simulate
 from .model import AccessProbabilities, ArrivalRates, DominanceMode, ProtocolKind
 from .simulate import DEFAULT_SEED
 from .stability import (
-    ds1_rate_matrix, ds1_stationary, ds3_mu2, ds3_steady_state, union_region_contains
+    ds1_pi0, ds1_rate_matrix, ds1_stationary, ds3_mu2, ds3_steady_state, union_region_contains
 )
 from .sweep import compare_envelopes, grid, sweep as run_sweep
 
@@ -42,10 +42,10 @@ ds1_analytic_vector = ds1_stationary
 ds2_analytic_vector = qbd.ds2_stationary
 
 
-def _mass(r: np.ndarray, v0: np.ndarray) -> float:
-    """Entry total of a matrix-geometric law over every level,
-    sum_k R^k v_0 = (I - R)^{-1} v_0; 1 for a stable law."""
-    return float(np.ones(2) @ np.linalg.solve(np.eye(2) - r, v0))
+def _mass(r: np.ndarray, pi0: float) -> float:
+    """Entry total of the matrix-geometric law with v_0 = (pi0, 0) over every
+    level, sum_k R^k v_0 = (I - R)^{-1} v_0; 1 for a stable law."""
+    return float(np.ones(2) @ np.linalg.solve(np.eye(2) - r, np.array([pi0, 0.0])))
 
 
 def oracle_tv(mode: DominanceMode, p: AccessProbabilities, rate: float, k_max: int = 200) -> float:
@@ -88,7 +88,7 @@ def suite_ds1() -> list[CheckResult]:
         checks.append(
             _check(f"ds1 balance residual {tag}", local_balance_residual(p, l1), 1e-12)
         )
-        mass = _mass(ds1_rate_matrix(p, l1), ds1_stationary(p, l1, 0)[0])
+        mass = _mass(ds1_rate_matrix(p, l1), ds1_pi0(p, l1))
         checks.append(_check(f"ds1 total mass {tag}", abs(mass - 1.0), 1e-12))
     return checks
 
@@ -139,7 +139,7 @@ def suite_qbd() -> list[CheckResult]:
         checks.append(
             _check(f"qbd level-cut balance {tag}", float(np.max(np.abs(lhs - rhs))), 1e-10)
         )
-        total = _mass(qbd.rate_matrix_closed_form(p, l2), levels[0])
+        total = _mass(qbd.rate_matrix_closed_form(p, l2), levels[0, 0])
         checks.append(_check(f"qbd normalization {tag}", abs(total - 1.0), 1e-10))
         checks.append(
             _check(f"qbd oracle tv {tag}", oracle_tv(DominanceMode.DS2, p, l2), 1e-8)
