@@ -30,16 +30,22 @@ the lane's is below 3 in either, and the true lengths are the lane's plus
 the offsets.  If the splice still steps many blocks, the chunks left get a
 new pass from the true state.  Each block's three slot keys are then read
 off three key tables that the composed table's build computes on the way,
-indexed by the low 9, 13 and 17 bits of the block's entry in that table,
-and the trajectory arrays are read off the keys.
+indexed by the low 9, 13 and 17 bits of the block's entry in that table.
+The run keeps one per-slot record besides the two lengths: the slot key,
+one int8 per slot, of which the phases, outcomes and busy flags are each
+one lookup.
 
 Every reported statistic is computed over the post-warmup window.  Standard
 errors come from batch means (100 batches) rather than the naive iid formula
-because successive slots are strongly correlated.
+because successive slots are strongly correlated.  Every count comes from a
+histogram of the window's slot keys per batch (and one for the slots past
+the last batch), weighed by a 0/1 table per key.  A configuration's tables
+are built on its first run in a process and shared by every later one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,6 +102,20 @@ _CAPPED[_PAIRS.view(np.uint16).reshape(-1)] = _PAIRS[:, 0] << 2 | _PAIRS[:, 1]
 _LOW = tuple(bytes((state >> shift & 3) < 3 for state in range(256)) for shift in (2, 0))
 _FIRST_WINDOW = 4
 
+# The slot-key bits that put a packet at queue 1 (queue 2) at access time:
+# its buffer was nonempty or one arrived.
+_BUSY_BITS = (0b100001, 0b010010)
+
+# The columns of a configuration's count table: per slot key, whether the
+# slot delivers a queue-1 (queue-2) packet, finds one at queue 1 (queue 2) at
+# access time, counts toward queue 1's (queue 2's) rate base, starts in the
+# reserved phase, and 1 for every slot.
+_SUCCESS1, _SUCCESS2, _BUSY1, _BUSY2, _BASE1, _BASE2, _BACKOFF, _EVERY = range(8)
+
+# _slopes' column scale, the root of the in-order sum of x**2, per window
+# length; filled on the first window of each length.
+_SCALES: dict[int, np.float64] = {}
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -123,14 +143,30 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-slot record of one run; lengths and phases are end-of-slot values."""
+    """Per-slot record of one run: end-of-slot lengths and each slot's key
+    (see :func:`aloha_priority.model.slot_table`), with the run's slot table
+    as a read-only (128, 4) int8 array."""
 
     q1: np.ndarray
     q2: np.ndarray
-    phase_start: np.ndarray
-    outcome: np.ndarray
-    busy1: np.ndarray
-    busy2: np.ndarray
+    keys: np.ndarray
+    table: np.ndarray
+
+    @property
+    def phase_start(self) -> np.ndarray:
+        return self.keys >> 6
+
+    @property
+    def outcome(self) -> np.ndarray:
+        return self.table[:, 3][self.keys]
+
+    @property
+    def busy1(self) -> np.ndarray:
+        return (self.keys & _BUSY_BITS[0]) != 0
+
+    @property
+    def busy2(self) -> np.ndarray:
+        return (self.keys & _BUSY_BITS[1]) != 0
 
 
 @dataclass(frozen=True)
@@ -157,17 +193,15 @@ class SimulationMetrics:
     verdict: tuple[str, str]
 
 
-def _batch_rate(values: np.ndarray, base: np.ndarray) -> tuple[float, float]:
-    """Overall rate of ``values`` per base slot and its batch SE."""
-    m = values.shape[0] // _N_BATCHES
-    total_base = int(base.sum())
-    rate = float(values.sum() / total_base) if total_base else float("nan")
-    if m == 0:
-        return rate, float("nan")
-    v = values[: _N_BATCHES * m].reshape(_N_BATCHES, m).sum(axis=1)
-    b = base[: _N_BATCHES * m].reshape(_N_BATCHES, m).sum(axis=1)
+def _batch_rate(
+    batches: np.ndarray, totals: np.ndarray, value: int, base: int
+) -> tuple[float, float]:
+    """Overall rate of count column ``value`` per ``base`` and its batch SE,
+    from the per-batch counts and the window's totals."""
+    total_base = totals[base]
+    rate = float(totals[value] / total_base) if total_base else float("nan")
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = v / b
+        ratios = batches[:, value] / batches[:, base]
     ratios = ratios[np.isfinite(ratios)]
     if ratios.shape[0] < 2:
         return rate, float("nan")
@@ -183,12 +217,14 @@ def _slopes(q1: np.ndarray, q2: np.ndarray) -> tuple[float, float]:
     ``lstsq`` call.  One two-column ``lstsq`` would round differently.
 
     The design is built in place in one Fortran-ordered ``(n, 2)`` array, the
-    column layout ``lstsq`` copies into for LAPACK.  Column 1 first holds the
-    running sum of x²: polyfit's ``(lhs * lhs).sum(axis=0)`` adds the rows of
-    its C-ordered design in order, so the norm is that sum's last element,
-    not numpy's pairwise ``np.sum(x * x)``, which differs at n = 990000.
-    Then column 1 takes polyfit's ``1 / sqrt(n)``.  ``lstsq`` casts the int
-    windows itself, to the doubles polyfit's ``q + 0.0`` gives.
+    column layout ``lstsq`` copies into for LAPACK.  On the first window of a
+    length, column 1 first holds the running sum of x²: polyfit's
+    ``(lhs * lhs).sum(axis=0)`` adds the rows of its C-ordered design in
+    order, so the norm is that sum's last element, not numpy's pairwise
+    ``np.sum(x * x)``, which differs at n = 990000.  Its root is kept in
+    ``_SCALES`` for later windows of that length.  Then column 1 takes
+    polyfit's ``1 / sqrt(n)``.  ``lstsq`` casts the int windows itself, to
+    the doubles polyfit's ``q + 0.0`` gives.
     """
     n = q1.shape[0]
     if n < 2:
@@ -196,9 +232,11 @@ def _slopes(q1: np.ndarray, q2: np.ndarray) -> tuple[float, float]:
     lhs = np.empty((n, 2), order="F")
     x, const = lhs[:, 0], lhs[:, 1]
     x[:] = np.arange(n)
-    np.multiply(x, x, out=const)
-    np.cumsum(const, out=const)
-    scale = np.sqrt(const[-1])
+    scale = _SCALES.get(n)
+    if scale is None:
+        np.multiply(x, x, out=const)
+        np.cumsum(const, out=const)
+        scale = _SCALES[n] = np.sqrt(const[-1])
     x /= scale
     const[:] = 1.0 / np.sqrt(n)
     rcond = n * np.finfo(np.float64).eps
@@ -256,6 +294,37 @@ def _block_table(table: np.ndarray) -> tuple[bytes, list[np.ndarray]]:
         keys.append(key)
     packed += next_phase[key]
     return packed.tobytes(), keys
+
+
+@functools.cache
+def _tables(
+    kind: ProtocolKind, mode: DominanceMode
+) -> tuple[np.ndarray, bytes, list[np.ndarray], np.ndarray]:
+    """A configuration's read-only tables, built on first use: ``slot_table``
+    as a (128, 4) int8 array, the block table and key tables of
+    :func:`_block_table`, and the (128, 8) int64 count table whose columns
+    are the 0/1 weights of each slot key named by ``_SUCCESS1`` to
+    ``_EVERY``."""
+    table = np.array(slot_table(kind, mode), dtype=np.int8)
+    block_table, key_tables = _block_table(table)
+    keys = np.arange(128)
+    outcome = table[:, 3]
+    busy1, busy2 = ((keys & bits) != 0 for bits in _BUSY_BITS)
+    forced1, forced2 = SATURATED[mode]
+    counted = np.stack([
+        (outcome == int(SlotOutcome.SUCCESS_Q1))
+        | (outcome == int(SlotOutcome.PRIORITY_RETRANSMISSION)),
+        outcome == int(SlotOutcome.SUCCESS_Q2),
+        busy1,
+        busy2,
+        busy1 | forced1,
+        busy2 | forced2,
+        keys >> 6,
+        np.ones(128, dtype=np.int64),
+    ], axis=1)
+    for array in (table, *key_tables, counted):
+        array.flags.writeable = False
+    return table, block_table, key_tables, counted
 
 
 def _chunk_length(blocks: int) -> int:
@@ -405,8 +474,7 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
     words = np.zeros(blocks.shape[0], dtype=np.uint32)
     for j in range(_BLOCK):
         words |= blocks[:, j].astype(np.uint32) << 4 * j + 5
-    table = np.array(slot_table(config.kind, config.mode), dtype=np.int8)
-    block_table, key_tables = _block_table(table)
+    table, block_table, key_tables, _ = _tables(config.kind, config.mode)
     # each block's entry in the composed tables; its slot keys overwrite its
     # coins in place
     words |= np.frombuffer(_block_states(words, block_table), np.uint8)
@@ -415,19 +483,12 @@ def run_trajectory(config: SimulationConfig) -> Trajectory:
     del words
 
     keys = codes[:n]
-    delta1, delta2, _, outcome = table.T
     # the steps are read as int64 and summed in place, with no int8 copy or
     # cast buffer beside the sums
-    q1 = delta1.astype(np.int64)[keys]
-    q2 = delta2.astype(np.int64)[keys]
+    q1 = table[:, 0].astype(np.int64)[keys]
+    q2 = table[:, 1].astype(np.int64)[keys]
     return Trajectory(
-        q1=np.cumsum(q1, out=q1),
-        q2=np.cumsum(q2, out=q2),
-        phase_start=keys >> 6,
-        outcome=outcome[keys],
-        # a packet at access time: the buffer was nonempty or one arrived
-        busy1=(keys & 0b100001) != 0,
-        busy2=(keys & 0b010010) != 0,
+        q1=np.cumsum(q1, out=q1), q2=np.cumsum(q2, out=q2), keys=keys, table=table
     )
 
 
@@ -435,27 +496,26 @@ def summarize(trajectory: Trajectory, config: SimulationConfig) -> SimulationMet
     w = config.warmup
     q1 = trajectory.q1[w:]
     q2 = trajectory.q2[w:]
-    # the fit's design is the largest array of a run; fit before the per-slot
-    # masks below are made, so they are not held beside it
     drift1, drift2 = _slopes(q1, q2)
-    out = trajectory.outcome[w:]
-    busy1 = trajectory.busy1[w:]
-    busy2 = trajectory.busy2[w:]
+    keys = trajectory.keys[w:]
+    # batch i holds slots m i to m (i + 1) - 1, none in a window of under 100
+    # slots; the last row counts the slots past the last batch, which enter
+    # the totals only
+    m = keys.shape[0] // _N_BATCHES
+    edges = [i * m for i in range(_N_BATCHES + 1)] + [keys.shape[0]]
+    histograms = np.stack([
+        np.bincount(keys[start:stop], minlength=128) for start, stop in zip(edges, edges[1:])
+    ])
+    counts = histograms @ _tables(config.kind, config.mode)[3]
+    batches, totals = counts[:-1], counts.sum(axis=0)
 
-    success1 = (out == int(SlotOutcome.SUCCESS_Q1)) | (
-        out == int(SlotOutcome.PRIORITY_RETRANSMISSION)
-    )
-    success2 = out == int(SlotOutcome.SUCCESS_Q2)
-    forced1, forced2 = SATURATED[config.mode]
-    every = np.ones(out.shape[0], dtype=bool)
-
-    mu1, se1 = _batch_rate(success1, every if forced1 else busy1)
-    mu2, se2 = _batch_rate(success2, every if forced2 else busy2)
-    occ, occ_se = _batch_rate(trajectory.phase_start[w:], every)
+    mu1, se1 = _batch_rate(batches, totals, _SUCCESS1, _BASE1)
+    mu2, se2 = _batch_rate(batches, totals, _SUCCESS2, _BASE2)
+    occ, occ_se = _batch_rate(batches, totals, _BACKOFF, _EVERY)
 
     return SimulationMetrics(
-        delivered=(int(success1.sum()), int(success2.sum())),
-        busy_slots=(int(busy1.sum()), int(busy2.sum())),
+        delivered=(int(totals[_SUCCESS1]), int(totals[_SUCCESS2])),
+        busy_slots=(int(totals[_BUSY1]), int(totals[_BUSY2])),
         mu=(mu1, mu2),
         mu_stderr=(se1, se2),
         backoff_occupancy=occ,

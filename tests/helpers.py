@@ -22,7 +22,8 @@ one 2x2 product per level, and ``reference_ds1_law`` lays the DS1 law out from
 its powers of rho;
 ``reference_envelope_at`` maximises the region clauses over a full meshgrid;
 ``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
-``reference_trajectory`` replays a run with one ``advance_slot`` call per slot;
+``reference_trajectory`` replays a run with one ``advance_slot`` call per slot,
+and ``reference_summarize`` summarises a run from per-slot masks;
 ``reference_chain`` builds the oracle's dense kernel with one ``advance_slot``
 call per level, phase and coin combination; ``reference_stationary`` solves the
 oracle's stationary system from a dense kernel.
@@ -44,10 +45,12 @@ from aloha_priority.errors import (
     SingularSystemError,
 )
 from aloha_priority.model import (
+    SATURATED,
     AccessProbabilities,
     DominanceMode,
     Phase,
     ProtocolKind,
+    SlotOutcome,
     SystemState,
     advance_slot,
 )
@@ -58,7 +61,14 @@ from aloha_priority.qbd import (
     rate_matrix_closed_form,
     spectral_radius_closed_form,
 )
-from aloha_priority.simulate import SimulationConfig, Trajectory, _slopes, _verdict
+from aloha_priority.simulate import (
+    _N_BATCHES,
+    SimulationConfig,
+    SimulationMetrics,
+    Trajectory,
+    _slopes,
+    _verdict,
+)
 from aloha_priority.stability import (
     ds1_mu2, ds1_pi0, ds1_rho, ds2_l2_limit, ds2_mu1, ds3_mu1, ds3_mu2
 )
@@ -350,11 +360,14 @@ def reference_envelope_at(l1: float, p1_grid: np.ndarray, p2_grid: np.ndarray):
     return best, float(p1_grid[i]), float(p2_grid[j])
 
 
-def reference_trajectory(config: SimulationConfig) -> Trajectory:
+def reference_trajectory(config: SimulationConfig) -> dict[str, np.ndarray]:
     """``simulate.run_trajectory`` as one ``advance_slot`` call per slot.
 
     The same four coin streams, the same dtypes; the table-driven simulator
-    must match it array for array.
+    must match it array for array, by name: each slot's key, built from the
+    state before the slot and its four coins as ``slot_table`` lays keys
+    out, the end-of-slot lengths, and the slot's start phase, outcome and
+    busy flags.
     """
     n = config.horizon
     streams = [
@@ -368,6 +381,7 @@ def reference_trajectory(config: SimulationConfig) -> Trajectory:
 
     q1 = np.empty(n, dtype=np.int64)
     q2 = np.empty(n, dtype=np.int64)
+    keys = np.empty(n, dtype=np.int8)
     phase_start = np.empty(n, dtype=np.int8)
     outcome = np.empty(n, dtype=np.int8)
 
@@ -375,6 +389,10 @@ def reference_trajectory(config: SimulationConfig) -> Trajectory:
     kind, mode = config.kind, config.mode
     for t in range(n):
         phase_start[t] = int(state.phase)
+        keys[t] = (
+            int(state.phase) << 6 | (state.q1_len > 0) << 5 | (state.q2_len > 0) << 4
+            | acc2[t] << 3 | acc1[t] << 2 | arr2[t] << 1 | arr1[t]
+        )
         state, out = advance_slot(
             state, kind, mode, (arr1[t], arr2[t]), (acc1[t], acc2[t])
         )
@@ -386,8 +404,66 @@ def reference_trajectory(config: SimulationConfig) -> Trajectory:
     arr2 = np.asarray(arr2)
     busy1 = np.concatenate(([0], q1[:-1])) + arr1 > 0
     busy2 = np.concatenate(([0], q2[:-1])) + arr2 > 0
-    return Trajectory(
-        q1=q1, q2=q2, phase_start=phase_start, outcome=outcome, busy1=busy1, busy2=busy2
+    return {
+        "keys": keys, "q1": q1, "q2": q2, "phase_start": phase_start, "outcome": outcome,
+        "busy1": busy1, "busy2": busy2,
+    }
+
+
+def _reference_batch_rate(values: np.ndarray, base: np.ndarray) -> tuple[float, float]:
+    """Overall rate of ``values`` per base slot and its batch SE."""
+    m = values.shape[0] // _N_BATCHES
+    total_base = int(base.sum())
+    rate = float(values.sum() / total_base) if total_base else float("nan")
+    if m == 0:
+        return rate, float("nan")
+    v = values[: _N_BATCHES * m].reshape(_N_BATCHES, m).sum(axis=1)
+    b = base[: _N_BATCHES * m].reshape(_N_BATCHES, m).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratios = v / b
+    ratios = ratios[np.isfinite(ratios)]
+    if ratios.shape[0] < 2:
+        return rate, float("nan")
+    return rate, float(ratios.std(ddof=1) / ratios.shape[0] ** 0.5)
+
+
+def reference_summarize(trajectory: Trajectory, config: SimulationConfig) -> SimulationMetrics:
+    """``simulate.summarize`` from per-slot masks of the trajectory's
+    outcomes, busy flags and phases, each batch summed on its own; the
+    histogram ``summarize`` must give the same metrics, bit for bit."""
+    w = config.warmup
+    q1 = trajectory.q1[w:]
+    q2 = trajectory.q2[w:]
+    drift1, drift2 = _slopes(q1, q2)
+    out = trajectory.outcome[w:]
+    busy1 = trajectory.busy1[w:]
+    busy2 = trajectory.busy2[w:]
+
+    success1 = (out == int(SlotOutcome.SUCCESS_Q1)) | (
+        out == int(SlotOutcome.PRIORITY_RETRANSMISSION)
+    )
+    success2 = out == int(SlotOutcome.SUCCESS_Q2)
+    forced1, forced2 = SATURATED[config.mode]
+    every = np.ones(out.shape[0], dtype=bool)
+
+    mu1, se1 = _reference_batch_rate(success1, every if forced1 else busy1)
+    mu2, se2 = _reference_batch_rate(success2, every if forced2 else busy2)
+    occ, occ_se = _reference_batch_rate(trajectory.phase_start[w:], every)
+
+    return SimulationMetrics(
+        delivered=(int(success1.sum()), int(success2.sum())),
+        busy_slots=(int(busy1.sum()), int(busy2.sum())),
+        mu=(mu1, mu2),
+        mu_stderr=(se1, se2),
+        backoff_occupancy=occ,
+        occupancy_stderr=occ_se,
+        mean_len=(float(q1.mean()), float(q2.mean())),
+        final_len=(int(q1[-1]), int(q2[-1])),
+        drift=(drift1, drift2),
+        verdict=(
+            _verdict(q1, drift1, config.horizon),
+            _verdict(q2, drift2, config.horizon),
+        ),
     )
 
 

@@ -70,6 +70,8 @@ _VERIFY = "src/aloha_priority/verify.py"
 _ORACLE = "src/aloha_priority/oracle.py"
 _RESIDENT = "tests/test_oracle.py::TestStationary::test_solve_keeps_one_kernel_resident"
 _KERNEL = "tests/test_simulate.py::TestKernelEquality::test_matches_advance_slot_reference"
+_SUMMARY = "tests/test_simulate.py::TestSummarize::test_matches_mask_reference"
+_SUMMARY_EDGES = "tests/test_simulate.py::TestSummarize::test_edge_windows_match_mask_reference"
 
 MUTANTS = (
     # the splice of simulate._block_states
@@ -137,6 +139,42 @@ MUTANTS = (
         "        keys.append(key)\n",
         "        keys.append(key if j < 2 else key[0])\n",
         (_KERNEL, "tests/test_simulate.py::TestBlockTable::test_entries_are_three_slot_table_steps"),
+    ),
+    # the key histograms of simulate.summarize and the tables they weigh
+    Mutant(
+        "summary-tail-dropped",
+        _SIM,
+        "batches, totals = counts[:-1], counts.sum(axis=0)",
+        "batches, totals = counts[:-1], counts[:-1].sum(axis=0)",
+        (_SUMMARY, _SUMMARY_EDGES),
+    ),
+    Mutant(
+        "summary-forced-base-from-busy-slots",
+        _SIM,
+        "        busy1 | forced1,\n",
+        "        busy1,\n",
+        (_SUMMARY, _SUMMARY_EDGES),
+    ),
+    Mutant(
+        "summary-batch-one-slot-long",
+        _SIM,
+        "np.bincount(keys[start:stop], minlength=128)",
+        "np.bincount(keys[start:stop + 1], minlength=128)",
+        (_SUMMARY, _SUMMARY_EDGES),
+    ),
+    Mutant(
+        "summary-occupancy-from-nonempty-bit",
+        _SIM,
+        "        keys >> 6,\n",
+        "        keys >> 5 & 1,\n",
+        (_SUMMARY, _SUMMARY_EDGES),
+    ),
+    Mutant(
+        "tables-writeable",
+        _SIM,
+        "array.flags.writeable = False",
+        "array.flags.writeable = True",
+        ("tests/test_simulate.py::TestTables::test_read_only_and_reused",),
     ),
     # the speculative lanes of simulate._lanes
     Mutant(

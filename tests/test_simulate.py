@@ -1,15 +1,15 @@
 """Monte Carlo runner: determinism, references, verdicts, dominance coupling,
-the three-slot block table against ``slot_table``, and the table-driven kernel
-against one ``advance_slot`` call per slot."""
+the three-slot block table against ``slot_table``, the table-driven kernel
+against one ``advance_slot`` call per slot, the histogram ``summarize``
+against per-slot masks, and the per-configuration caches."""
 
-import dataclasses
 import signal
 import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import classify_stability, reference_trajectory
-from hypothesis import given, settings
+from helpers import classify_stability, reference_summarize, reference_trajectory
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aloha_priority import simulate
@@ -29,12 +29,13 @@ from aloha_priority.simulate import (
     STABLE,
     UNSTABLE,
     SimulationConfig,
-    Trajectory,
     _block_table,
     _lanes,
     _slopes,
+    _tables,
     run,
     run_trajectory,
+    summarize,
 )
 from aloha_priority.stability import ds1_service_rate_q2
 
@@ -217,6 +218,33 @@ class TestSlopes:
             tracemalloc.stop()
         assert peak <= 24 * n + 65_536
 
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_traced_peak_holds_with_a_cold_and_a_warm_scale(self, monkeypatch, cache):
+        # a miss sums x**2 in the design's constant column, so it needs no
+        # more memory than a hit
+        n = 990_000
+        q1, q2 = _window("walk", n, 7), _window("ramp", n, 8)
+        monkeypatch.setattr(simulate, "_SCALES", {})
+        if cache == "warm":
+            _slopes(q1, q2)
+        tracemalloc.start()
+        try:
+            _slopes(q1, q2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n + 65_536
+        assert n in simulate._SCALES
+
+    @pytest.mark.parametrize("n", [2, 4999, 990_000])
+    def test_scale_hit_gives_the_bits_of_a_miss(self, monkeypatch, n):
+        q1, q2 = _window("walk", n, n), _window("ramp", n, n + 1)
+        monkeypatch.setattr(simulate, "_SCALES", {})
+        miss = np.array(_slopes(q1, q2)).tobytes()
+        hit = np.array(_slopes(q1, q2)).tobytes()
+        x = np.arange(n, dtype=np.float64)
+        assert miss == hit == np.array([np.polyfit(x, q, 1)[0] for q in (q1, q2)]).tobytes()
+
     def test_one_slot_window_has_no_slope(self):
         one = np.array([7], dtype=np.int64)
         assert all(np.isnan(_slopes(one, one)))
@@ -269,11 +297,16 @@ class TestDominanceCoupling:
         assert np.all(trajectory(DominanceMode.DS2).q2 >= none.q2)
 
 
+# the key record and the four arrays read off it
+_RECORD = ("keys", "q1", "q2", "phase_start", "outcome", "busy1", "busy2")
+
+
 def _assert_same_trajectory(got, expected):
-    for field in dataclasses.fields(Trajectory):
-        a, b = getattr(got, field.name), getattr(expected, field.name)
-        assert a.dtype == b.dtype, field.name
-        assert np.array_equal(a, b), field.name
+    assert sorted(expected) == sorted(_RECORD)
+    for name in _RECORD:
+        a, b = getattr(got, name), expected[name]
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
 
 
 _UNIT = st.floats(0.0, 1.0)
@@ -377,6 +410,20 @@ class TestBlockLoop:
         # int8 copy or cast buffer beside the int64 sums, no second key array
         config = _config(horizon=1_000_000)
         run_trajectory(_config(horizon=10))
+        tracemalloc.start()
+        try:
+            run_trajectory(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * config.horizon
+
+    def test_traced_peak_on_cold_tables_is_under_24_bytes_per_slot(self):
+        # building the configuration's tables inside the traced run adds
+        # about 0.3 MB
+        config = _config(horizon=1_000_000)
+        run_trajectory(_config(horizon=10))
+        _tables.cache_clear()
         tracemalloc.start()
         try:
             run_trajectory(config)
@@ -514,3 +561,103 @@ class TestSlotTable:
                     after.phase,
                     outcome,
                 ) == entry, (key, length)
+
+
+_PAIRS = [(kind, mode) for kind in ProtocolKind for mode in DominanceMode]
+# besides any rate, one that leaves a queue empty through a whole window and
+# one that leaves it empty through whole batches
+_SPARSE_RATE = st.one_of(st.sampled_from([1e-12, 1e-3]), _RATE)
+
+
+def _summary_run(kind, mode, l, warmup, per_batch, tail, p=(0.5, 0.5), seed=31):
+    """A config whose post-warmup window is 100 batches of ``per_batch``
+    slots and ``tail`` slots past them, and its trajectory."""
+    config = _config(
+        kind=kind,
+        mode=mode,
+        p=AccessProbabilities(*p),
+        l=ArrivalRates(*l),
+        horizon=warmup + 100 * per_batch + tail,
+        warmup=warmup,
+        seed=seed,
+    )
+    return config, run_trajectory(config)
+
+
+class TestSummarize:
+    """The histogram ``summarize`` against the per-slot masks it replaced."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(ProtocolKind),
+        mode=st.sampled_from(DominanceMode),
+        p1=_UNIT,
+        p2=_UNIT,
+        l1=_SPARSE_RATE,
+        l2=_SPARSE_RATE,
+        warmup=st.integers(0, 300),
+        per_batch=st.integers(0, 200),
+        tail=st.one_of(st.just(0), st.integers(0, 99)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_mask_reference(
+        self, kind, mode, p1, p2, l1, l2, warmup, per_batch, tail, seed
+    ):
+        assume(100 * per_batch + tail >= max(1, 2 - warmup))
+        config, traj = _summary_run(kind, mode, (l1, l2), warmup, per_batch, tail, (p1, p2), seed)
+        assert repr(summarize(traj, config)) == repr(reference_summarize(traj, config))
+
+    # a window of fewer than 100 slots, one of whole batches, both queues
+    # saturated, a queue that is never busy and one that is empty through
+    # whole batches
+    @pytest.mark.parametrize(
+        "case, kind, mode, l, warmup, per_batch, tail",
+        [
+            ("short", ProtocolKind.FEEDBACK_PRIORITY, DominanceMode.NONE, (0.3, 0.3), 40, 0, 57),
+            ("whole", ProtocolKind.FEEDBACK_PRIORITY, DominanceMode.DS1, (0.2, 0.3), 0, 150, 0),
+            ("saturated", ProtocolKind.FEEDBACK_PRIORITY, DominanceMode.DS3, (0.2, 0.3), 7, 37, 11),
+            ("never busy", ProtocolKind.CONVENTIONAL_RA, DominanceMode.NONE, (0.3, 1e-12), 0, 20, 3),
+            ("empty batches", ProtocolKind.FEEDBACK_PRIORITY, DominanceMode.DS2, (0.3, 1e-3), 9, 20, 5),
+        ],
+    )
+    def test_edge_windows_match_mask_reference(self, case, kind, mode, l, warmup, per_batch, tail):
+        config, traj = _summary_run(kind, mode, l, warmup, per_batch, tail)
+        metrics = summarize(traj, config)
+        assert repr(metrics) == repr(reference_summarize(traj, config))
+        busy2 = traj.busy2[warmup:]
+        if case == "short":
+            assert all(np.isnan(metrics.mu_stderr)) and np.isnan(metrics.occupancy_stderr)
+        elif case == "saturated":
+            assert metrics.mu[0] == metrics.delivered[0] / (100 * per_batch + tail)
+        elif case == "never busy":
+            assert metrics.busy_slots[1] == 0
+            assert np.isnan(metrics.mu[1]) and np.isnan(metrics.mu_stderr[1])
+        elif case == "empty batches":
+            bases = busy2[: 100 * per_batch].reshape(100, per_batch).sum(axis=1)
+            assert 0 < metrics.busy_slots[1] and 0 in bases
+            assert np.isfinite(metrics.mu_stderr[1])
+
+
+class TestTables:
+    """Each configuration's tables are built once per process and shared."""
+
+    @pytest.mark.parametrize("kind, mode", _PAIRS)
+    def test_read_only_and_reused(self, kind, mode):
+        tables = _tables(kind, mode)
+        table, block_table, key_tables, counted = tables
+        assert _tables(kind, mode) is tables
+        assert isinstance(block_table, bytes)
+        for array in (table, *key_tables, counted):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+        assert np.array_equal(table, np.array(slot_table(kind, mode), dtype=np.int8))
+        assert run_trajectory(_config(kind=kind, mode=mode, horizon=100)).table is table
+
+    @pytest.mark.parametrize("kind, mode", _PAIRS)
+    def test_cold_and_warm_runs_agree(self, monkeypatch, kind, mode):
+        config = _config(kind=kind, mode=mode, l=ArrivalRates(0.2, 0.3), horizon=30_000)
+        _tables.cache_clear()
+        monkeypatch.setattr(simulate, "_SCALES", {})
+        cold = repr(run(config))
+        assert repr(run(config)) == cold
