@@ -32,8 +32,8 @@ new pass from the true state.  Each block's three slot keys are then read
 off three key tables that the composed table's build computes on the way,
 indexed by the low 9, 13 and 17 bits of the block's entry in that table.
 The run keeps one per-slot record besides the two lengths: the slot key,
-one int8 per slot, of which the phases, outcomes and busy flags are each
-one lookup.
+one int8 per slot, of which each slot's start phase and outcome are one
+lookup.
 
 Every reported statistic is computed over the post-warmup window.  Standard
 errors come from batch means (100 batches) rather than the naive iid formula
@@ -159,14 +159,6 @@ class Trajectory:
     @property
     def outcome(self) -> np.ndarray:
         return self.table[:, 3][self.keys]
-
-    @property
-    def busy1(self) -> np.ndarray:
-        return (self.keys & _BUSY_BITS[0]) != 0
-
-    @property
-    def busy2(self) -> np.ndarray:
-        return (self.keys & _BUSY_BITS[1]) != 0
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ _LAYOUT = {
 }
 
 
-def _docstrings(tree: ast.Module) -> set[tuple[int, int]]:
+def docstring_starts(tree: ast.Module) -> set[tuple[int, int]]:
     """The (line, column) start of every docstring in ``tree``."""
     scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     starts = set()
@@ -49,7 +49,7 @@ def _docstrings(tree: ast.Module) -> set[tuple[int, int]]:
 
 def code_lines(source: str) -> int:
     """The number of code lines in ``source``."""
-    docstrings = _docstrings(ast.parse(source))
+    docstrings = docstring_starts(ast.parse(source))
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type in _LAYOUT or token.start in docstrings:

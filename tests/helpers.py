@@ -23,7 +23,8 @@ its powers of rho;
 ``reference_envelope_at`` maximises the region clauses over a full meshgrid;
 ``classify_stability`` runs the simulator's drift verdict on a bare trajectory;
 ``reference_trajectory`` replays a run with one ``advance_slot`` call per slot,
-and ``reference_summarize`` summarises a run from per-slot masks;
+``reference_busy`` works out a run's busy flags from its lengths and arrival
+coins, and ``reference_summarize`` summarises a run from per-slot masks;
 ``reference_chain`` builds the oracle's dense kernel with one ``advance_slot``
 call per level, phase and coin combination; ``reference_stationary`` solves the
 oracle's stationary system from a dense kernel.
@@ -427,17 +428,27 @@ def _reference_batch_rate(values: np.ndarray, base: np.ndarray) -> tuple[float, 
     return rate, float(ratios.std(ddof=1) / ratios.shape[0] ** 0.5)
 
 
+def reference_busy(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Whether a packet is at queue 1 (queue 2) at access time in each slot
+    of ``trajectory``, as ``reference_trajectory`` works it out: the length
+    before the slot plus the slot's arrival coin, bit 0 (1) of its key."""
+    return tuple(
+        np.concatenate(([0], q[:-1])) + (trajectory.keys >> bit & 1) > 0
+        for bit, q in enumerate((trajectory.q1, trajectory.q2))
+    )
+
+
 def reference_summarize(trajectory: Trajectory, config: SimulationConfig) -> SimulationMetrics:
     """``simulate.summarize`` from per-slot masks of the trajectory's
-    outcomes, busy flags and phases, each batch summed on its own; the
-    histogram ``summarize`` must give the same metrics, bit for bit."""
+    outcomes, busy flags (from ``reference_busy``) and phases, each batch
+    summed on its own; the histogram ``summarize`` must give the same
+    metrics, bit for bit."""
     w = config.warmup
     q1 = trajectory.q1[w:]
     q2 = trajectory.q2[w:]
     drift1, drift2 = _slopes(q1, q2)
     out = trajectory.outcome[w:]
-    busy1 = trajectory.busy1[w:]
-    busy2 = trajectory.busy2[w:]
+    busy1, busy2 = (busy[w:] for busy in reference_busy(trajectory))
 
     success1 = (out == int(SlotOutcome.SUCCESS_Q1)) | (
         out == int(SlotOutcome.PRIORITY_RETRANSMISSION)

@@ -170,6 +170,13 @@ MUTANTS = (
         (_SUMMARY, _SUMMARY_EDGES),
     ),
     Mutant(
+        "summary-busy-without-queue-1-arrival",
+        _SIM,
+        "_BUSY_BITS = (0b100001, 0b010010)",
+        "_BUSY_BITS = (0b100000, 0b010010)",
+        (_KERNEL, _SUMMARY, _SUMMARY_EDGES),
+    ),
+    Mutant(
         "tables-writeable",
         _SIM,
         "array.flags.writeable = False",

@@ -1,14 +1,20 @@
 """Monte Carlo runner: determinism, references, verdicts, dominance coupling,
 the three-slot block table against ``slot_table``, the table-driven kernel
 against one ``advance_slot`` call per slot, the histogram ``summarize``
-against per-slot masks, and the per-configuration caches."""
+against per-slot masks, the per-configuration caches, and each queue's drift
+at unstable points against its exact growth rate."""
 
 import signal
 import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import classify_stability, reference_summarize, reference_trajectory
+from helpers import (
+    classify_stability,
+    reference_busy,
+    reference_summarize,
+    reference_trajectory,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +34,8 @@ from aloha_priority.simulate import (
     INCONCLUSIVE,
     STABLE,
     UNSTABLE,
+    _BUSY1,
+    _BUSY2,
     SimulationConfig,
     _block_table,
     _lanes,
@@ -37,7 +45,14 @@ from aloha_priority.simulate import (
     run_trajectory,
     summarize,
 )
-from aloha_priority.stability import ds1_service_rate_q2
+from aloha_priority.stability import (
+    ds1_mu2,
+    ds1_service_rate_q2,
+    ds2_mu1,
+    ds3_mu1,
+    ds3_mu2,
+    union_region_contains,
+)
 
 HALF = AccessProbabilities(0.5, 0.5)
 
@@ -146,6 +161,67 @@ class TestReferencePoints:
         # total backlog growth is at least the arrival excess over the
         # channel's one packet per slot
         assert metrics.drift[0] + metrics.drift[1] > 0.8 - 0.02
+
+
+# Unstable points of the priority kind, mode NONE, two for each way to be
+# unstable; every growth rate is at least 0.03 and every stable queue's rate
+# at least 0.1 above its arrival rate.
+_UNSTABLE_POINTS = [
+    ((0.5, 0.5), (0.45, 0.25)),  # both grow
+    ((0.8, 0.3), (0.68, 0.08)),
+    ((0.5, 0.5), (0.5, 0.1)),  # queue 1 grows, queue 2 stable
+    ((0.3, 0.7), (0.3, 0.3)),
+    ((0.5, 0.5), (0.2, 0.4)),  # queue 2 grows, queue 1 stable
+    ((0.7, 0.4), (0.4, 0.22)),
+]
+_GROWTH_SEEDS = 8
+# the bound on |t| of a point's mean drift error over its seeds (7 degrees
+# of freedom); over the eight growing queues these seeds give |t| up to 1.3,
+# and six other sets of 48 distinct seeds gave up to 3.3
+_GROWTH_T = 5.0
+# a stable queue's drift read at most 1.3e-7 at these points
+_STABLE_DRIFT = 1e-5
+
+
+def _growth_rates(p, l):
+    """Each queue's exact growth rate at an unstable point, 0 if it is stable.
+
+    Past both saturated rates mu1'' and mu2'' both queues grow at their
+    excess.  Otherwise one queue is stable against the other one saturated,
+    which delivers ``ds2_mu1`` (queue 1) or ``ds1_mu2`` (queue 2).
+    """
+    mu1, mu2 = ds3_mu1(p.p1, p.p2), ds3_mu2(p.p1, p.p2)
+    if l.l1 >= mu1 and l.l2 >= mu2:
+        return l.l1 - mu1, l.l2 - mu2
+    if l.l2 < mu2:
+        return l.l1 - ds2_mu1(p.p1, l.l2), 0.0
+    return 0.0, l.l2 - ds1_mu2(p.p2, l.l1)
+
+
+class TestUnstableGrowth:
+    """Each queue's drift at unstable points against its exact growth rate,
+    so a fault in one queue's growth cannot hide behind the other's."""
+
+    @pytest.mark.parametrize("index", range(len(_UNSTABLE_POINTS)))
+    def test_drift_matches_exact_growth_rate(self, index):
+        p, l = _UNSTABLE_POINTS[index]
+        p, l = AccessProbabilities(*p), ArrivalRates(*l)
+        rates = _growth_rates(p, l)
+        assert not union_region_contains(p, l).stable
+        assert all(rate == 0.0 or rate >= 0.03 for rate in rates)
+        # distinct seeds at every point: shared coin streams would correlate
+        # the errors across points
+        drifts = np.array([
+            run(_config(p=p, l=l, horizon=1_000_000, seed=_GROWTH_SEEDS * index + k)).drift
+            for k in range(_GROWTH_SEEDS)
+        ])
+        for queue, rate in enumerate(rates):
+            if rate:
+                errors = drifts[:, queue] - rate
+                t = errors.mean() / (errors.std(ddof=1) / _GROWTH_SEEDS**0.5)
+                assert abs(t) <= _GROWTH_T, (queue, t)
+            else:
+                assert np.abs(drifts[:, queue]).max() < _STABLE_DRIFT, queue
 
 
 class TestClassifier:
@@ -297,16 +373,20 @@ class TestDominanceCoupling:
         assert np.all(trajectory(DominanceMode.DS2).q2 >= none.q2)
 
 
-# the key record and the four arrays read off it
-_RECORD = ("keys", "q1", "q2", "phase_start", "outcome", "busy1", "busy2")
+# the key record and the two views read off it
+_RECORD = ("keys", "q1", "q2", "phase_start", "outcome")
 
 
-def _assert_same_trajectory(got, expected):
-    assert sorted(expected) == sorted(_RECORD)
+def _assert_same_trajectory(got, expected, config):
+    assert sorted(expected) == sorted((*_RECORD, "busy1", "busy2"))
     for name in _RECORD:
         a, b = getattr(got, name), expected[name]
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
+    # the busy flags summarize counts: the count table's columns on the keys
+    counted = _tables(config.kind, config.mode)[3]
+    for column, name in ((_BUSY1, "busy1"), (_BUSY2, "busy2")):
+        assert np.array_equal(counted[got.keys, column], expected[name]), name
 
 
 _UNIT = st.floats(0.0, 1.0)
@@ -330,7 +410,7 @@ class TestKernelEquality:
             l=ArrivalRates(*l),
             horizon=20_000,
         )
-        _assert_same_trajectory(run_trajectory(config), reference_trajectory(config))
+        _assert_same_trajectory(run_trajectory(config), reference_trajectory(config), config)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -354,7 +434,7 @@ class TestKernelEquality:
             horizon=horizon,
             seed=seed,
         )
-        _assert_same_trajectory(run_trajectory(config), reference_trajectory(config))
+        _assert_same_trajectory(run_trajectory(config), reference_trajectory(config), config)
 
 
 class TestBlockLoop:
@@ -401,7 +481,7 @@ class TestBlockLoop:
             horizon=horizon,
         )
         got = run_trajectory(config)
-        _assert_same_trajectory(got, reference_trajectory(config))
+        _assert_same_trajectory(got, reference_trajectory(config), config)
         if horizon > 20_000 and l[0] + l[1] > 1.0:
             assert got.q2.max() > 100
 
@@ -624,7 +704,7 @@ class TestSummarize:
         config, traj = _summary_run(kind, mode, l, warmup, per_batch, tail)
         metrics = summarize(traj, config)
         assert repr(metrics) == repr(reference_summarize(traj, config))
-        busy2 = traj.busy2[warmup:]
+        busy2 = reference_busy(traj)[1][warmup:]
         if case == "short":
             assert all(np.isnan(metrics.mu_stderr)) and np.isnan(metrics.occupancy_stderr)
         elif case == "saturated":

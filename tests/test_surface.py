@@ -1,12 +1,16 @@
-"""Every public function of the package has a user outside the tests, and
-every defaulted parameter has a caller that sets it.
+"""Every public function, method and property of the package has a user
+outside the tests, and every defaulted parameter has a caller that sets it.
 
 A public name that nothing in ``src/``, ``perfbench/`` or the README uses is
 either dead code or a test-only helper, which belongs in ``tests/helpers.py``.
-Code counts as a use where it loads the name or reads it as an attribute;
-docstrings, comments, the definition itself and an ``import`` re-export do
-not.  Any mention in the README counts, since that is the documented library
-surface.
+A module-level function counts as used where code loads its name or reads it
+as an attribute.  A method or property counts only where code reads it as an
+attribute or names it in a string constant that is not a docstring (as
+``getattr`` takes it), since a bare name of the same spelling is a local, not
+a use.  Docstrings, comments, the definition itself and an ``import``
+re-export never count.  In the README only code counts, its code spans and
+fenced blocks, since that is the documented library surface; prose that
+happens to hold the word does not.
 
 A parameter with a default that no call in ``src/`` or ``perfbench/``
 passes, by position or by keyword, is a knob nobody turns: it belongs in the
@@ -16,8 +20,9 @@ that spreads ``*args`` or ``**kwargs`` counts as passing everything.
 
 Matching is by bare name (a class name stands for its ``__init__``, and a
 call through a ``from ... import name as alias`` binding counts as a call of
-``name``), so both checks can only miss an unused function or parameter,
-never flag a used one.
+``name``), so a check can miss an unused definition or parameter that
+shares its name with a used one.  A method or property that code reached
+only through a name built at run time would be flagged; none is.
 
 One design rule is checked the same way: outside ``oracle.py`` no module of
 the package reads an attribute named ``matrix``, so the oracle's dense
@@ -39,46 +44,82 @@ from types import ModuleType
 import numpy as np
 
 import aloha_priority
+from code_lines import docstring_starts
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "aloha_priority"
 
 
-def _public_functions() -> list[tuple[str, str]]:
-    """(qualified name, name) of every public module-level function and method."""
-    found = []
+def _public_definitions() -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """(qualified name, name) of every public module-level function, and of
+    every public method and property of a module-level class."""
+    functions, members = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            scope, defs = path.stem, [node]
+            found, scope, defs = functions, path.stem, [node]
             if isinstance(node, ast.ClassDef):
-                scope, defs = f"{path.stem}.{node.name}", node.body
+                found, scope, defs = members, f"{path.stem}.{node.name}", node.body
             for fn in defs:
                 if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
                     found.append((f"{scope}.{fn.name}", fn.name))
-    return found
+    return functions, members
 
 
-def _names_used_in_code() -> set[str]:
-    used = set()
+def _uses_in_code() -> tuple[set[str], set[str], set[str]]:
+    """The names loaded, the attributes read and the non-docstring string
+    constants in ``src/`` and ``perfbench/``."""
+    names, attributes, strings = set(), set(), set()
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        docstrings = docstring_starts(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and (node.lineno, node.col_offset) not in docstrings
+            ):
+                strings.add(node.value)
+    return names, attributes, strings
+
+
+def _readme_code_words() -> set[str]:
+    """The words of the README's fenced blocks and of its code spans."""
+    fence = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
+    text = (ROOT / "README.md").read_text()
+    code = fence.findall(text) + re.findall(r"`([^`]+)`", fence.sub("", text))
+    return {word for chunk in code for word in re.findall(r"\w+", chunk)}
 
 
 def test_walker_sees_the_package():
-    found = _public_functions()
-    assert ("model.advance_slot", "advance_slot") in found
-    assert ("oracle.TruncatedChain.matrix", "matrix") in found
-    assert len(found) > 40
+    functions, members = _public_definitions()
+    assert ("model.advance_slot", "advance_slot") in functions
+    assert ("oracle.TruncatedChain.matrix", "matrix") in members
+    assert ("simulate.Trajectory.outcome", "outcome") in members
+    assert len(functions) > 40
+    _, attributes, strings = _uses_in_code()
+    # perfbench reads the trajectory's views through getattr, by name
+    assert "phase_start" in strings and "phase_start" not in attributes
+    assert not any(s.startswith("Slot-by-slot Monte Carlo") for s in strings)
+    readme = _readme_code_words()
+    assert {"union_region_contains", "optimal_p2", "apply"} <= readme
+    assert "Library" not in readme
 
 
 def test_every_public_function_is_used_outside_tests():
-    used = _names_used_in_code() | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    unused = [qualified for qualified, name in _public_functions() if name not in used]
+    names, attributes, _ = _uses_in_code()
+    used = names | attributes | _readme_code_words()
+    unused = [qualified for qualified, name in _public_definitions()[0] if name not in used]
+    assert unused == []
+
+
+def test_every_public_method_and_property_is_used_outside_tests():
+    _, attributes, strings = _uses_in_code()
+    used = attributes | strings | _readme_code_words()
+    unused = [qualified for qualified, name in _public_definitions()[1] if name not in used]
     assert unused == []
 
 
